@@ -53,6 +53,18 @@ class VerificationReport:
         return None
 
 
+def format_violation(alg: FiniteAlgebra, v: Violation, verb: str = "at") -> str:
+    """``axiom at (x,y,...)``, the witness spelled in the algebra's element names."""
+    return f"{v.axiom} {verb} ({','.join(alg.names[i] for i in v.witness)})"
+
+
+def require(report: VerificationReport, alg: FiniteAlgebra, wanted: str) -> None:
+    """Raise AlgebraError naming the first failure unless the report passed."""
+    if not report.passed:
+        failure = format_violation(alg, report.failures[0], "fails at")
+        raise AlgebraError(f"input is not a valid {wanted}: {failure}")
+
+
 def _first_failure(n: int, arity: int, holds: Callable[..., bool]) -> tuple[int, ...] | None:
     for tup in product(range(n), repeat=arity):
         if not holds(*tup):

@@ -17,23 +17,24 @@ from .axioms import (
     check_bck,
     check_mv,
     check_wajsberg,
+    format_violation,
     is_commutative,
     is_implicative,
     is_positive_implicative,
+    require,
 )
-from .transforms import (
-    bck_to_mv,
-    bck_to_wajsberg,
-    iseki_extension,
-    mv_to_bck,
-    mv_to_wajsberg,
-    wajsberg_to_bck,
-    wajsberg_to_mv,
-)
+from .transforms import TRANSLATIONS, iseki_extension, wajsberg_to_bck
 from .enumeration import enumerate_wajsberg, factorizations, find_isomorphism, poset_isomorphic
 from .substructures import ideals, subalgebras
 from .algfile import fixture_dir, load_algebra, render_algebra, save_algebra
 from .golden import run_check_paper
+
+
+# Largest order `enumerate` accepts, checked before anything is built: the
+# order-N chain alone has N*N cells and its axiom check scans N**3 triples, so
+# a mistyped order would otherwise run for hours. At least every order the
+# tests, the scripts and the benchmark use (128 at most).
+MAX_ENUMERATE_ORDER = 256
 
 
 class _InputError(Exception):
@@ -54,8 +55,7 @@ def _print_report(alg: FiniteAlgebra, report: VerificationReport) -> bool:
         print(f"PASS {report.checked}")
         return True
     for v in report.failures:
-        witness = ",".join(alg.names[i] for i in v.witness)
-        print(f"FAIL {v.axiom} at ({witness})")
+        print(f"FAIL {format_violation(alg, v)}")
     return False
 
 
@@ -78,14 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-_CONVERSIONS = {
-    (Kind.BCK, Kind.MV): bck_to_mv,
-    (Kind.BCK, Kind.WAJSBERG): bck_to_wajsberg,
-    (Kind.MV, Kind.BCK): mv_to_bck,
-    (Kind.MV, Kind.WAJSBERG): mv_to_wajsberg,
-    (Kind.WAJSBERG, Kind.MV): wajsberg_to_mv,
-    (Kind.WAJSBERG, Kind.BCK): wajsberg_to_bck,
-}
+_CONVERSIONS = {pair: convert for pair, (convert, _) in TRANSLATIONS.items()}
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -113,6 +106,8 @@ def _cmd_iseki(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.order < 2:
         raise _InputError("--order must be >= 2")
+    if args.order > MAX_ENUMERATE_ORDER:
+        raise _InputError(f"--order must be <= {MAX_ENUMERATE_ORDER}")
     algebras = enumerate_wajsberg(args.order)
     if args.kind == "bck":
         algebras = [wajsberg_to_bck(a) for a in algebras]
@@ -132,6 +127,10 @@ def _cmd_sub(args: argparse.Namespace) -> int:
     alg = _load(args.file)
     if alg.kind is not Kind.BCK:
         raise _InputError(f"sub takes a bck file, got kind {alg.kind.value}")
+    try:
+        require(check_bck(alg), alg, "bck algebra")
+    except AlgebraError as exc:
+        raise _InputError(f"{args.file}: {exc}") from None
     proper = not args.all
     want_subs = args.subalgebras or not (args.subalgebras or args.ideals)
     want_ideals = args.ideals or not (args.subalgebras or args.ideals)

@@ -102,15 +102,6 @@ class FiniteAlgebra:
             raise AlgebraError(f"unknown element name {name!r}") from None
 
 
-def _top_of(table: CayleyTable, zero: int) -> int | None:
-    """First t with x op t = zero for every x, i.e. x <= t under the derived order."""
-    n = table.order
-    for t in range(n):
-        if all(table.entries[x][t] == zero for x in range(n)):
-            return t
-    return None
-
-
 def new_algebra(
     kind: Kind | str,
     names: Iterable[str],
@@ -152,11 +143,12 @@ def new_algebra(
             raise AlgebraError("bck algebra requires a designated zero")
         if one is not None and any(tab.entries[x][one] != zero for x in range(n)):
             raise AlgebraError("designated one is not an upper bound of the derived order")
+        alg = FiniteAlgebra(kind, name_tuple, tab, zero, one, comp)
         if comp is not None:
-            top = one if one is not None else _top_of(tab, zero)
+            top = one if one is not None else order_relation(alg).top()
             if top is not None and comp != tab.entries[top]:
                 raise AlgebraError("explicit complement disagrees with the derived one*x row")
-        return FiniteAlgebra(kind, name_tuple, tab, zero, one, comp)
+        return alg
 
     if kind is Kind.WAJSBERG:
         if one is None:
@@ -190,12 +182,9 @@ def new_algebra(
 
 @dataclass(frozen=True)
 class OrderRelation:
-    """Boolean matrix of the derived order x <= y (x op y = zero)."""
+    """Boolean matrix of a derived order, ``leq[x][y]`` being x <= y; see ``order_relation``."""
 
     leq: tuple[tuple[bool, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "leq", tuple(tuple(bool(v) for v in row) for row in self.leq))
 
     @property
     def order(self) -> int:
@@ -212,33 +201,52 @@ class OrderRelation:
         return None
 
 
+def order_relation(alg: FiniteAlgebra) -> OrderRelation:
+    """x <= y read straight off the table by kind: x*y = 0 (bck), x.y = 1
+    (wajsberg), x' + y = 1 (mv). No axiom validation, so this also works on
+    defective tables under diagnosis."""
+    t = alg.table.entries
+    if alg.kind is Kind.BCK:
+        z = alg.zero
+        return OrderRelation(tuple(tuple(v == z for v in row) for row in t))
+    one = alg.unit
+    if alg.kind is Kind.WAJSBERG:
+        return OrderRelation(tuple(tuple(v == one for v in row) for row in t))
+    c = alg.complement
+    return OrderRelation(tuple(tuple(v == one for v in t[cx]) for cx in c))
+
+
 def derived_order(alg: FiniteAlgebra) -> OrderRelation:
     """The relation x <= y iff x*y = zero, read straight off the table."""
     if alg.kind is not Kind.BCK:
         raise AlgebraError("derived order is defined for bck algebras; convert first")
-    z = alg.zero
-    return OrderRelation(tuple(tuple(v == z for v in row) for row in alg.table.entries))
+    return order_relation(alg)
 
 
 def bound_element(alg: FiniteAlgebra) -> int | None:
     """The top element 1 with x <= 1 for all x, or None if the algebra is unbounded."""
     if alg.kind is not Kind.BCK:
         raise AlgebraError("bound search is defined for bck algebras")
-    return _top_of(alg.table, alg.zero)
+    return order_relation(alg).top()
+
+
+def _complement_row(alg: FiniteAlgebra) -> tuple[int, ...]:
+    if alg.complement is not None:
+        return alg.complement
+    if alg.kind is not Kind.BCK:
+        raise AlgebraError("algebra carries no complement")
+    top = alg.unit if alg.unit is not None else order_relation(alg).top()
+    if top is None:
+        raise AlgebraError("unbounded bck algebra has no complement")
+    return alg.table.entries[top]
 
 
 def complement_of(alg: FiniteAlgebra, x: int) -> int:
     """complement(x): the stored unary operation, or 1*x for a bounded BCK algebra."""
-    if alg.complement is not None:
-        return alg.complement[x]
-    if alg.kind is not Kind.BCK:
-        raise AlgebraError("algebra carries no complement")
-    top = alg.unit if alg.unit is not None else _top_of(alg.table, alg.zero)
-    if top is None:
-        raise AlgebraError("unbounded bck algebra has no complement")
-    return alg.table.entries[top][x]
+    return _complement_row(alg)[x]
 
 
 def involutions(alg: FiniteAlgebra) -> set[int]:
     """Elements fixed by the double complement."""
-    return {x for x in range(alg.order) if complement_of(alg, complement_of(alg, x)) == x}
+    c = _complement_row(alg)
+    return {x for x in range(alg.order) if c[c[x]] == x}

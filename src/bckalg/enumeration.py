@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra
-from .axioms import check_wajsberg
-from .transforms import _require
+from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_relation
+from .axioms import check_wajsberg, require
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def direct_product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
     for part in parts:
         if part.kind is not Kind.WAJSBERG:
             raise AlgebraError("direct product takes wajsberg algebras")
-        _require(check_wajsberg(part), part, "wajsberg algebra")
+        require(check_wajsberg(part), part, "wajsberg algebra")
     if len(parts) == 1:
         return parts[0]
     tuples = list(product(*(range(p.order) for p in parts)))
@@ -211,19 +210,6 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
     return None
 
 
-def _leq_matrix(alg: FiniteAlgebra) -> tuple[tuple[bool, ...], ...]:
-    """x <= y read straight off the table by kind; no axiom validation, so this
-    also works on defective tables under diagnosis."""
-    t = alg.table.entries
-    n = alg.order
-    if alg.kind is Kind.BCK:
-        return tuple(tuple(t[x][y] == alg.zero for y in range(n)) for x in range(n))
-    if alg.kind is Kind.WAJSBERG:
-        return tuple(tuple(t[x][y] == alg.unit for y in range(n)) for x in range(n))
-    c = alg.complement
-    return tuple(tuple(t[c[x]][y] == alg.unit for y in range(n)) for x in range(n))
-
-
 def _poset_isos(la, lb):
     """Yield every bijection f with x <= y iff f(x) <= f(y), as index tuples."""
     n = len(la)
@@ -266,8 +252,14 @@ def _poset_isos(la, lb):
     yield from dfs(0)
 
 
+def order_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:
+    """The first bijection f with x <= y iff f(x) <= f(y) between the derived
+    orders of a and b (tables otherwise ignored, nothing validated), or None."""
+    if a.order != b.order:
+        return None
+    return next(_poset_isos(order_relation(a).leq, order_relation(b).leq), None)
+
+
 def poset_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
     """Whether the derived orders admit an order-isomorphism (tables ignored)."""
-    if a.order != b.order:
-        return False
-    return next(_poset_isos(_leq_matrix(a), _leq_matrix(b)), None) is not None
+    return order_isomorphism(a, b) is not None

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import AlgebraError, FiniteAlgebra, Kind, bound_element, new_algebra
-from .axioms import VerificationReport, check_bck, check_wajsberg, is_commutative
+from .axioms import check_bck, check_wajsberg, format_violation, is_commutative
 from .transforms import bck_to_mv, derive_mv_ops, mv_to_bck, mv_to_wajsberg, wajsberg_to_bck, wajsberg_to_mv
-from .enumeration import _leq_matrix, _poset_isos, enumerate_wajsberg
+from .enumeration import enumerate_wajsberg, order_isomorphism
 from .substructures import ideals, subalgebras
 from .algfile import ParseError, load_algebra
 
@@ -95,41 +95,35 @@ class Diagnosis:
 def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     """Locate suspected misprints in a stored wajsberg table.
 
-    A clean table diagnoses to itself. Otherwise each order-n chain product
-    is matched to the stored table along every order-isomorphism of the
-    derived orders (fixing zero and one); the relabelled product deviating
-    from the stored table in the fewest cells wins, deterministically. If no
-    product's order matches, the table cannot be diagnosed.
+    A clean table diagnoses to itself. Otherwise the first order-n chain
+    product whose derived order matches the stored one is relabelled along
+    the first order isomorphism, and every cell where it differs from the
+    stored table is flagged. With no matching order, or an isomorphism that
+    misses the stored zero or one, the table cannot be diagnosed.
+
+    One isomorphism settles it. Finite MV-algebras are products of
+    Lukasiewicz chains and finite bounded lattices split into directly
+    indecomposable factors in only one way, so at most one product matches
+    and every order automorphism of it is an algebra automorphism: all
+    isomorphisms give the same table. All send bottom and top to bottom and
+    top, so if the first misses zero or one, every one does.
     """
     if check_wajsberg(alg).passed:
         return Diagnosis(alg, ())
     n = alg.order
-    la = _leq_matrix(alg)
-    options = []
     for cand in enumerate_wajsberg(n):
-        lc = _leq_matrix(cand)
-        for g in _poset_isos(lc, la):
-            if g[cand.zero] != alg.zero or g[cand.unit] != alg.unit:
-                continue
-            inv = [0] * n
-            for i, gi in enumerate(g):
-                inv[gi] = i
-            rows = [[g[cand.op(inv[x], inv[y])] for y in range(n)] for x in range(n)]
-            cells = tuple(
-                (x, y, alg.table.entries[x][y], rows[x][y])
-                for x in range(n)
-                for y in range(n)
-                if alg.table.entries[x][y] != rows[x][y]
-            )
-            options.append((len(cells), cells, rows))
-    if not options:
-        return Diagnosis(None, ())
-    _, cells, rows = min(options, key=lambda o: (o[0], o[1]))
-    corrected = new_algebra(Kind.WAJSBERG, alg.names, rows, one=alg.unit)
-    return Diagnosis(
-        corrected,
-        tuple(CellDiff(alg.names[x], alg.names[y], alg.names[s], alg.names[e]) for x, y, s, e in cells),
-    )
+        g = order_isomorphism(cand, alg)
+        if g is None:
+            continue
+        if g[cand.zero] != alg.zero or g[cand.unit] != alg.unit:
+            break
+        inv = [0] * n
+        for i, gi in enumerate(g):
+            inv[gi] = i
+        rows = [[g[cand.op(inv[x], inv[y])] for y in range(n)] for x in range(n)]
+        corrected = new_algebra(Kind.WAJSBERG, alg.names, rows, one=alg.unit)
+        return Diagnosis(corrected, cell_mismatches(alg, corrected))
+    return Diagnosis(None, ())
 
 
 def cell_mismatches(stored: FiniteAlgebra, expected: FiniteAlgebra) -> tuple[CellDiff, ...]:
@@ -169,11 +163,6 @@ def _fmt_list(alg: FiniteAlgebra, subsets) -> str:
     return " ".join(_fmt_subset(alg, s) for s in subsets) if subsets else "(none)"
 
 
-def _first_failure(alg: FiniteAlgebra, report: VerificationReport) -> str:
-    v = report.failures[0]
-    return f"{v.axiom} at ({','.join(alg.names[i] for i in v.witness)})"
-
-
 def _as_name_sets(alg: FiniteAlgebra, subsets) -> set[frozenset[str]]:
     return {frozenset(alg.names[i] for i in s) for s in subsets}
 
@@ -193,13 +182,14 @@ def run_check_paper(fixtures: Path) -> tuple[list[str], bool]:
         if not diag.cells and diag.corrected is w:
             lines.append(f"{ex}: wajsberg axioms: PASS")
         elif diag.corrected is None:
-            lines.append(f"{ex}: wajsberg axioms: FAIL {_first_failure(w, check_wajsberg(w))}; no order-matched reconstruction")
+            first = format_violation(w, check_wajsberg(w).failures[0])
+            lines.append(f"{ex}: wajsberg axioms: FAIL {first}; no order-matched reconstruction")
             ok = False
             continue
         else:
             flagged.extend((f"{ex}_wajsberg", c) for c in diag.cells)
             lines.append(
-                f"{ex}: wajsberg axioms: FAIL {_first_failure(w, check_wajsberg(w))}; "
+                f"{ex}: wajsberg axioms: FAIL {format_violation(w, check_wajsberg(w).failures[0])}; "
                 f"suspected misprint cell(s): {'; '.join(str(c) for c in diag.cells)}"
             )
             lines.append(f"{ex}: wajsberg axioms (corrected): PASS")
@@ -223,9 +213,9 @@ def run_check_paper(fixtures: Path) -> tuple[list[str], bool]:
         else:
             detail = []
             if not rep.passed:
-                detail.append(_first_failure(target, rep))
+                detail.append(format_violation(target, rep.failures[0]))
             if not com.passed:
-                detail.append(_first_failure(target, com))
+                detail.append(format_violation(target, com.failures[0]))
             if not bound_ok:
                 detail.append("bound missing or not the designated one")
             lines.append(f"{ex}: bck axioms ({label}): FAIL {'; '.join(detail)}")

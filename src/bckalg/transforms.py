@@ -1,10 +1,13 @@
 """Structure-to-structure constructions.
 
-All converters validate their input axioms before converting and keep the
-carrier (indices and names) unchanged, so roundtrip equality is literal
-table equality. The BCK image of a Wajsberg table is computed directly as
-complement(x.y); the route through the MV sum is deliberately left as an
-independent path for coherence testing.
+The five direct translations share one driver: check the source kind and
+axioms, fill the target table from a one-line cell formula, assemble it with
+``new_algebra``. ``TRANSLATIONS`` maps (source kind, target kind) to the
+public function and its formula; ``bck_to_wajsberg`` is the composite through
+the MV sum. The carrier (indices and names) never changes, so roundtrip
+equality is literal table equality. The BCK image of a Wajsberg table is
+computed directly as complement(x.y); the route through the MV sum is
+deliberately left as an independent path for coherence testing.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import AlgebraError, CayleyTable, FiniteAlgebra, Kind, bound_element, new_algebra
-from .axioms import VerificationReport, check_bck, check_mv, check_wajsberg, is_commutative
+from .axioms import check_bck, check_mv, check_wajsberg, is_commutative, require
 
 
 @dataclass(frozen=True)
@@ -24,11 +27,33 @@ class DerivedMvOps:
     ominus: CayleyTable
 
 
-def _require(report: VerificationReport, alg: FiniteAlgebra, wanted: str) -> None:
-    if not report.passed:
-        v = report.failures[0]
-        witness = ",".join(alg.names[i] for i in v.witness)
-        raise AlgebraError(f"input is not a valid {wanted}: {v.axiom} fails at ({witness})")
+def _validated(alg: FiniteAlgebra, kind: Kind, caller: str) -> tuple[int, int, tuple[int, ...]]:
+    """Check the kind and the axioms of a translation source; return its
+    (zero, one, complement), the complement of a BCK source being 1*x."""
+    if alg.kind is not kind:
+        article = "an" if kind is Kind.MV else "a"
+        raise AlgebraError(f"{caller} takes {article} {kind.value} algebra")
+    if kind is Kind.BCK:
+        require(check_bck(alg), alg, "bck algebra")
+        require(is_commutative(alg), alg, "commutative bck algebra")
+        top = alg.unit if alg.unit is not None else bound_element(alg)
+        if top is None:
+            raise AlgebraError(f"{caller} requires a bounded algebra")
+        return alg.zero, top, alg.table.entries[top]
+    if kind is Kind.WAJSBERG:
+        require(check_wajsberg(alg), alg, "wajsberg algebra")
+        return alg.complement[alg.unit], alg.unit, alg.complement
+    require(check_mv(alg), alg, "mv algebra")
+    return alg.zero, alg.unit, alg.complement
+
+
+def _translate(alg: FiniteAlgebra, source: Kind, target: Kind) -> FiniteAlgebra:
+    zero, one, c = _validated(alg, source, f"{source.value}_to_{target.value}")
+    cell = TRANSLATIONS[(source, target)][1]
+    t = alg.table.entries
+    carrier = range(alg.order)
+    rows = [[cell(t, c, x, y) for y in carrier] for x in carrier]
+    return new_algebra(target, alg.names, rows, zero=zero, one=one, complement=c)
 
 
 def iseki_extension(alg: FiniteAlgebra) -> FiniteAlgebra:
@@ -48,66 +73,27 @@ def iseki_extension(alg: FiniteAlgebra) -> FiniteAlgebra:
 
 def bck_to_mv(alg: FiniteAlgebra) -> FiniteAlgebra:
     """x + y = (x'*y)' with x' = 1*x, on a bounded commutative BCK algebra."""
-    if alg.kind is not Kind.BCK:
-        raise AlgebraError("bck_to_mv takes a bck algebra")
-    _require(check_bck(alg), alg, "bck algebra")
-    _require(is_commutative(alg), alg, "commutative bck algebra")
-    top = alg.unit if alg.unit is not None else bound_element(alg)
-    if top is None:
-        raise AlgebraError("bck_to_mv requires a bounded algebra")
-    t = alg.table.entries
-    comp = t[top]
-    n = alg.order
-    plus = [[comp[t[comp[x]][y]] for y in range(n)] for x in range(n)]
-    return new_algebra(Kind.MV, alg.names, plus, zero=alg.zero, one=top, complement=comp)
+    return _translate(alg, Kind.BCK, Kind.MV)
 
 
 def mv_to_bck(alg: FiniteAlgebra) -> FiniteAlgebra:
     """x*y = (x'+y)', the difference of the MV sum; bounded by 1 = 0'."""
-    if alg.kind is not Kind.MV:
-        raise AlgebraError("mv_to_bck takes an mv algebra")
-    _require(check_mv(alg), alg, "mv algebra")
-    t = alg.table.entries
-    c = alg.complement
-    n = alg.order
-    star = [[c[t[c[x]][y]] for y in range(n)] for x in range(n)]
-    return new_algebra(Kind.BCK, alg.names, star, zero=alg.zero, one=alg.unit, complement=c)
+    return _translate(alg, Kind.MV, Kind.BCK)
 
 
 def wajsberg_to_mv(alg: FiniteAlgebra) -> FiniteAlgebra:
     """x + y = complement(x).y, with zero = complement(1)."""
-    if alg.kind is not Kind.WAJSBERG:
-        raise AlgebraError("wajsberg_to_mv takes a wajsberg algebra")
-    _require(check_wajsberg(alg), alg, "wajsberg algebra")
-    t = alg.table.entries
-    c = alg.complement
-    n = alg.order
-    plus = [[t[c[x]][y] for y in range(n)] for x in range(n)]
-    return new_algebra(Kind.MV, alg.names, plus, zero=c[alg.unit], one=alg.unit, complement=c)
+    return _translate(alg, Kind.WAJSBERG, Kind.MV)
 
 
 def mv_to_wajsberg(alg: FiniteAlgebra) -> FiniteAlgebra:
     """x.y = x' + y, with unit 1 = 0'."""
-    if alg.kind is not Kind.MV:
-        raise AlgebraError("mv_to_wajsberg takes an mv algebra")
-    _require(check_mv(alg), alg, "mv algebra")
-    t = alg.table.entries
-    c = alg.complement
-    n = alg.order
-    circ = [[t[c[x]][y] for y in range(n)] for x in range(n)]
-    return new_algebra(Kind.WAJSBERG, alg.names, circ, zero=alg.zero, one=alg.unit, complement=c)
+    return _translate(alg, Kind.MV, Kind.WAJSBERG)
 
 
 def wajsberg_to_bck(alg: FiniteAlgebra) -> FiniteAlgebra:
     """x*y = complement(x.y): the bounded commutative BCK algebra of a Wajsberg table."""
-    if alg.kind is not Kind.WAJSBERG:
-        raise AlgebraError("wajsberg_to_bck takes a wajsberg algebra")
-    _require(check_wajsberg(alg), alg, "wajsberg algebra")
-    t = alg.table.entries
-    c = alg.complement
-    n = alg.order
-    star = [[c[t[x][y]] for y in range(n)] for x in range(n)]
-    return new_algebra(Kind.BCK, alg.names, star, zero=c[alg.unit], one=alg.unit, complement=c)
+    return _translate(alg, Kind.WAJSBERG, Kind.BCK)
 
 
 def bck_to_wajsberg(alg: FiniteAlgebra) -> FiniteAlgebra:
@@ -115,13 +101,22 @@ def bck_to_wajsberg(alg: FiniteAlgebra) -> FiniteAlgebra:
     return mv_to_wajsberg(bck_to_mv(alg))
 
 
+# (source kind, target kind) -> (public translation, cell formula over the
+# source table t and complement c).
+TRANSLATIONS = {
+    (Kind.BCK, Kind.MV): (bck_to_mv, lambda t, c, x, y: c[t[c[x]][y]]),
+    (Kind.MV, Kind.BCK): (mv_to_bck, lambda t, c, x, y: c[t[c[x]][y]]),
+    (Kind.WAJSBERG, Kind.MV): (wajsberg_to_mv, lambda t, c, x, y: t[c[x]][y]),
+    (Kind.MV, Kind.WAJSBERG): (mv_to_wajsberg, lambda t, c, x, y: t[c[x]][y]),
+    (Kind.WAJSBERG, Kind.BCK): (wajsberg_to_bck, lambda t, c, x, y: c[t[x][y]]),
+    (Kind.BCK, Kind.WAJSBERG): (bck_to_wajsberg, None),
+}
+
+
 def derive_mv_ops(alg: FiniteAlgebra) -> DerivedMvOps:
     """The product and difference tables of a valid MV algebra."""
-    if alg.kind is not Kind.MV:
-        raise AlgebraError("derive_mv_ops takes an mv algebra")
-    _require(check_mv(alg), alg, "mv algebra")
+    _, _, c = _validated(alg, Kind.MV, "derive_mv_ops")
     t = alg.table.entries
-    c = alg.complement
     n = alg.order
     odot = CayleyTable(tuple(tuple(c[t[c[x]][c[y]]] for y in range(n)) for x in range(n)))
     ominus = CayleyTable(tuple(tuple(c[t[c[x]][y]] for y in range(n)) for x in range(n)))

@@ -2,6 +2,7 @@ import pytest
 
 from bckalg import check_mv, check_wajsberg, fixture_dir, parse_algebra, save_algebra
 from bckalg import lukasiewicz_chain, wajsberg_to_bck
+from bckalg import cli
 from bckalg.cli import main
 
 
@@ -118,6 +119,22 @@ def test_enumerate_rejects_small_order(capsys):
     assert main(["enumerate", "--order", "1"]) == 2
 
 
+def test_enumerate_rejects_order_above_cap_before_building(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"enumerate_wajsberg({n}) called")
+
+    monkeypatch.setattr(cli, "enumerate_wajsberg", refuse)
+    assert main(["enumerate", "--order", str(cli.MAX_ENUMERATE_ORDER + 1)]) == 2
+    assert f"--order must be <= {cli.MAX_ENUMERATE_ORDER}" in capsys.readouterr().err
+
+
+def test_enumerate_accepts_order_at_cap(monkeypatch, capsys):
+    assert cli.MAX_ENUMERATE_ORDER >= 128  # the largest order the benchmark enumerates
+    monkeypatch.setattr(cli, "enumerate_wajsberg", lambda n: [])
+    assert main(["enumerate", "--order", str(cli.MAX_ENUMERATE_ORDER)]) == 0
+    assert capsys.readouterr().out == f"pi_{cli.MAX_ENUMERATE_ORDER} = 0\n"
+
+
 def test_sub_lists(capsys):
     assert main(["sub", "--ideals", fx("ex3_4_bck.alg")]) == 0
     out = capsys.readouterr().out
@@ -139,6 +156,17 @@ def test_sub_all_includes_trivial(capsys):
 
 def test_sub_needs_bck(capsys):
     assert main(["sub", fx("ex3_1_wajsberg.alg")]) == 2
+
+
+def test_sub_rejects_table_failing_bck_axioms(tmp_path, capsys):
+    # fails bci-1, bci-2, bci-3 and bck-5, yet has a closed {O,A} that the
+    # subalgebra and ideal searches would list
+    bad = tmp_path / "not_bck.alg"
+    bad.write_text("kind: bck\norder: 3\nelements: O A B\nzero: O\ntable:\nO O A\nO O O\nB B A\n")
+    assert main(["sub", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: input is not a valid bck algebra: bci-1 fails at (O,O,B)\n"
 
 
 def test_iso_mapping(tmp_path, capsys):

@@ -1,0 +1,82 @@
+"""No bckalg module reaches into another module's private names.
+
+A helper that two modules share gets a public name in the module that owns
+it. This test parses every module under ``src/bckalg`` and fails when one
+imports an underscore-prefixed name from another bckalg module, or reads
+one as an attribute of an imported bckalg module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bckalg
+
+MODULES = sorted(Path(bckalg.__file__).parent.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_cross_module_uses(source: str) -> list[str]:
+    """Each private name the source takes from another bckalg module."""
+    tree = ast.parse(source)
+    found = []
+    module_aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "bckalg"
+            if not internal:
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+                elif node.module is None or node.module == "bckalg":
+                    module_aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "bckalg":
+                    module_aliases.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in module_aliases:
+                found.append(f"line {node.lineno}: reads {base.id}...{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_cross_module_names(path):
+    assert private_cross_module_uses(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .enumeration import _poset_isos",
+        "from .transforms import iseki_extension, _require as req",
+        "from bckalg.core import _helper",
+        "from . import enumeration\nenumeration._poset_isos(a, b)",
+        "import bckalg.golden as g\nx = g._fmt_list",
+        "import bckalg\nbckalg.enumeration._poset_isos",
+    ],
+)
+def test_checker_flags_private_names(source):
+    assert private_cross_module_uses(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .enumeration import poset_isomorphic",
+        "from dataclasses import dataclass\nfrom typing import _SpecialForm",
+        "def _local():\n    pass\n_local()",
+        "from . import core\ncore.__name__",
+    ],
+)
+def test_checker_allows_public_and_foreign_names(source):
+    assert private_cross_module_uses(source) == []
