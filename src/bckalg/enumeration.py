@@ -2,8 +2,10 @@
 
 One algebra is produced per unordered factorization of n into factors >= 2
 (the single-factor decomposition included): the direct product of totally
-ordered chains with those sizes. Isomorphism search is plain backtracking
-pruned by occurrence-profile invariants; n stays small, so nothing fancier
+ordered chains with those sizes. Algebra and order isomorphism share one
+backtracking search, ``_bijections``, that matches elements by an invariant
+(table occurrence profiles, derived-order degrees), places the scarcest
+first and prunes against what is placed; n stays small, so nothing fancier
 is warranted.
 """
 
@@ -124,6 +126,43 @@ def _occurrence_profiles(entries: tuple[tuple[int, ...], ...]) -> list[tuple]:
     ]
 
 
+def _bijections(pa: list, pb: list, fixed, fits):
+    """Yield, as index tuples, every bijection f with pb[f[x]] == pa[x] for
+    each x that extends the fixed (x, f(x)) pairs and passes fits(f, x) each
+    time a free element x is placed (f holds -1 where nothing is placed yet).
+    Free elements go fewest candidates first, ties and candidates by index."""
+    if sorted(pa) != sorted(pb):
+        return
+    n = len(pa)
+    f = [-1] * n
+    used = [False] * n
+    for x, y in fixed:
+        if f[x] == -1 and pa[x] == pb[y] and not used[y]:
+            f[x] = y
+            used[y] = True
+        elif f[x] != y:
+            return
+    candidates = {x: [y for y in range(n) if pb[y] == pa[x]] for x in range(n) if f[x] == -1}
+    order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
+
+    def place(pos: int):
+        if pos == len(order):
+            yield tuple(f)
+            return
+        x = order[pos]
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            f[x] = y
+            used[y] = True
+            if fits(f, x):
+                yield from place(pos + 1)
+            f[x] = -1
+            used[y] = False
+
+    yield from place(0)
+
+
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:
     """A constant-preserving bijection f with f(x op y) = f(x) op f(y), or None.
 
@@ -133,40 +172,14 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
     if a.kind != b.kind:
         raise AlgebraError("isomorphism search needs algebras of the same kind")
     n = a.order
-    if b.order != n:
-        return None
-    if (a.unit is None) != (b.unit is None):
+    if b.order != n or (a.unit is None) != (b.unit is None):
         return None
     ta, tb = a.table.entries, b.table.entries
-    pa, pb = _occurrence_profiles(ta), _occurrence_profiles(tb)
-    if sorted(pa) != sorted(pb):
-        return None
     match_complement = a.kind is not Kind.BCK
     ca, cb = a.complement, b.complement
+    fixed = [(a.zero, b.zero)] if a.unit is None else [(a.zero, b.zero), (a.unit, b.unit)]
 
-    f = [-1] * n
-    used = [False] * n
-
-    def assign(x: int, y: int) -> bool:
-        if pa[x] != pb[y] or used[y]:
-            return False
-        f[x] = y
-        used[y] = True
-        return True
-
-    if not assign(a.zero, b.zero):
-        return None
-    if a.unit is not None:
-        if f[a.unit] != -1:
-            if f[a.unit] != b.unit:
-                return None
-        elif not assign(a.unit, b.unit):
-            return None
-
-    candidates = {x: [y for y in range(n) if pb[y] == pa[x]] for x in range(n) if f[x] == -1}
-    order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
-
-    def consistent(x: int) -> bool:
+    def consistent(f: list[int], x: int) -> bool:
         assigned = [u for u in range(n) if f[u] != -1]
         for u in assigned:
             for p, q in ((x, u), (u, x)):
@@ -181,83 +194,34 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
                     return False
         return True
 
-    def verify() -> bool:
-        for x in range(n):
-            for y in range(n):
-                if f[ta[x][y]] != tb[f[x]][f[y]]:
-                    return False
-        if match_complement and any(f[ca[x]] != cb[f[x]] for x in range(n)):
+    def verify(f: tuple[int, ...]) -> bool:
+        if any(f[ta[x][y]] != tb[f[x]][f[y]] for x in range(n) for y in range(n)):
             return False
-        return True
+        return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
 
-    def dfs(pos: int) -> bool:
-        if pos == len(order):
-            return verify()
-        x = order[pos]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            f[x] = y
-            used[y] = True
-            if consistent(x) and dfs(pos + 1):
-                return True
-            f[x] = -1
-            used[y] = False
-        return False
-
-    if dfs(0):
-        return tuple(f)
-    return None
-
-
-def _poset_isos(la, lb):
-    """Yield every bijection f with x <= y iff f(x) <= f(y), as index tuples."""
-    n = len(la)
-    if len(lb) != n:
-        return
-
-    def profile(leq):
-        return [
-            (sum(leq[u][x] for u in range(n)), sum(leq[x][u] for u in range(n)))
-            for x in range(n)
-        ]
-
-    pa, pb = profile(la), profile(lb)
-    if sorted(pa) != sorted(pb):
-        return
-    candidates = {x: [y for y in range(n) if pb[y] == pa[x]] for x in range(n)}
-    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
-    f = [-1] * n
-    used = [False] * n
-
-    def dfs(pos: int):
-        if pos == n:
-            yield tuple(f)
-            return
-        x = order[pos]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            if any(
-                f[u] != -1 and (la[x][u] != lb[y][f[u]] or la[u][x] != lb[f[u]][y])
-                for u in range(n)
-            ):
-                continue
-            f[x] = y
-            used[y] = True
-            yield from dfs(pos + 1)
-            f[x] = -1
-            used[y] = False
-
-    yield from dfs(0)
+    found = _bijections(_occurrence_profiles(ta), _occurrence_profiles(tb), fixed, consistent)
+    return next((f for f in found if verify(f)), None)
 
 
 def order_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:
     """The first bijection f with x <= y iff f(x) <= f(y) between the derived
     orders of a and b (tables otherwise ignored, nothing validated), or None."""
-    if a.order != b.order:
+    n = a.order
+    if b.order != n:
         return None
-    return next(_poset_isos(order_relation(a).leq, order_relation(b).leq), None)
+    la, lb = order_relation(a).leq, order_relation(b).leq
+
+    def profile(leq):
+        return [(sum(col), sum(row)) for col, row in zip(zip(*leq), leq)]
+
+    def fits(f: list[int], x: int) -> bool:
+        y = f[x]
+        return all(
+            u == x or f[u] == -1 or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
+            for u in range(n)
+        )
+
+    return next(_bijections(profile(la), profile(lb), (), fits), None)
 
 
 def poset_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:

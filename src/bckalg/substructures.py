@@ -60,7 +60,11 @@ def _filter_proper(alg: FiniteAlgebra, subsets: list[frozenset[int]], proper_onl
 
 def subalgebras(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset[int]]:
     """All table-closed subsets (every one contains zero, since x*x = zero
-    in any valid BCK table)."""
+    in any valid BCK table).
+
+    The input is not validated. The search starts from {zero} and so assumes
+    x*x = zero; on a table that fails the BCK axioms it still returns a list
+    that looks plausible. Run ``check_bck`` first, as ``bckalg sub`` does."""
     found = {closure_of(alg, {alg.zero})}
     frontier = list(found)
     while frontier:
@@ -78,7 +82,11 @@ def subalgebras(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset
 
 
 def ideals(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset[int]]:
-    """All subsets containing zero that absorb downward under x*y."""
+    """All subsets containing zero that absorb downward under x*y.
+
+    The input is not validated: on a table that fails the BCK axioms it
+    still returns a list that looks plausible. Run ``check_bck`` first, as
+    ``bckalg sub`` does."""
     n = alg.order
     t = alg.table.entries
     z = alg.zero

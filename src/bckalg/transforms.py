@@ -1,13 +1,13 @@
 """Structure-to-structure constructions.
 
-The five direct translations share one driver: check the source kind and
-axioms, fill the target table from a one-line cell formula, assemble it with
+The six translations share one driver: check the source kind and axioms,
+fill the target table from a one-line cell formula, assemble it with
 ``new_algebra``. ``TRANSLATIONS`` maps (source kind, target kind) to the
-public function and its formula; ``bck_to_wajsberg`` is the composite through
-the MV sum. The carrier (indices and names) never changes, so roundtrip
-equality is literal table equality. The BCK image of a Wajsberg table is
-computed directly as complement(x.y); the route through the MV sum is
-deliberately left as an independent path for coherence testing.
+public function and its formula. The carrier (indices and names) never
+changes, so roundtrip equality is literal table equality. BCK and Wajsberg
+tables translate directly into each other, x*y = complement(x.y) one way
+and x.y = complement(x*y) the other; the routes through the MV sum are
+deliberately left as independent paths for coherence testing.
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ def wajsberg_to_bck(alg: FiniteAlgebra) -> FiniteAlgebra:
 
 
 def bck_to_wajsberg(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """Composite translation through the MV sum."""
-    return mv_to_wajsberg(bck_to_mv(alg))
+    """x.y = (x*y)' with x' = 1*x: the Wajsberg algebra of a bounded
+    commutative BCK algebra, equal to mv_to_wajsberg(bck_to_mv(alg))."""
+    return _translate(alg, Kind.BCK, Kind.WAJSBERG)
 
 
 # (source kind, target kind) -> (public translation, cell formula over the
@@ -109,7 +110,7 @@ TRANSLATIONS = {
     (Kind.WAJSBERG, Kind.MV): (wajsberg_to_mv, lambda t, c, x, y: t[c[x]][y]),
     (Kind.MV, Kind.WAJSBERG): (mv_to_wajsberg, lambda t, c, x, y: t[c[x]][y]),
     (Kind.WAJSBERG, Kind.BCK): (wajsberg_to_bck, lambda t, c, x, y: c[t[x][y]]),
-    (Kind.BCK, Kind.WAJSBERG): (bck_to_wajsberg, None),
+    (Kind.BCK, Kind.WAJSBERG): (bck_to_wajsberg, lambda t, c, x, y: c[t[x][y]]),
 }
 
 

@@ -1,24 +1,48 @@
-"""Differential test of the misprint diagnosis against an exhaustive reference.
+"""Differential tests of the isomorphism searches and the misprint diagnosis
+against reference searches.
 
-The reference below diagnoses a stored wajsberg table the slow way: it
+The first reference diagnoses a stored wajsberg table the slow way: it
 relabels every order-matched chain product along *every* order isomorphism
 of the derived orders and keeps the relabelling that deviates from the
 stored table in the fewest cells. ``diagnose_wajsberg`` must agree with it
 on randomly relabelled chain products with one corrupted cell, both when a
 reconstruction exists and when none does.
+
+The other two references are separate backtracking searches for algebra
+and order isomorphisms, sharing no code with ``bckalg.enumeration``.
+``find_isomorphism`` and ``order_isomorphism`` must return exactly the
+bijection they return, or None where they do, on relabelled chain products
+of all three kinds, clean or with one corrupted cell.
 """
 
+import dataclasses
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from bckalg import CayleyTable, FiniteAlgebra, Kind, check_wajsberg, enumerate_wajsberg
+from bckalg import (
+    CayleyTable,
+    FiniteAlgebra,
+    Kind,
+    check_wajsberg,
+    enumerate_wajsberg,
+    find_isomorphism,
+    wajsberg_to_bck,
+    wajsberg_to_mv,
+)
+from bckalg.enumeration import order_isomorphism
 from bckalg.golden import diagnose_wajsberg
+
+AS_KIND = {Kind.WAJSBERG: lambda w: w, Kind.BCK: wajsberg_to_bck, Kind.MV: wajsberg_to_mv}
 
 
 def _reference_leq(alg):
-    t = alg.table.entries
+    t, c = alg.table.entries, alg.complement
     n = alg.order
+    if alg.kind is Kind.BCK:
+        return tuple(tuple(t[x][y] == alg.zero for y in range(n)) for x in range(n))
+    if alg.kind is Kind.MV:
+        return tuple(tuple(t[c[x]][y] == alg.unit for y in range(n)) for x in range(n))
     return tuple(tuple(t[x][y] == alg.unit for y in range(n)) for x in range(n))
 
 
@@ -93,11 +117,12 @@ def reference_diagnosis(alg):
     return tuple((names[x], names[y], names[s], names[e]) for x, y, s, e in cells), rows
 
 
-def corrupted_chain_product(n, pick, seed, cell, shift):
-    """A randomly relabelled order-n chain product with one cell changed,
-    keeping the product's constants as the stored ones."""
+def relabelled_chain_product(kind, n, pick, seed, cell=None, shift=0):
+    """A randomly relabelled order-n chain product read as ``kind``, keeping
+    the product's constants as the stored ones; the cell numbered ``cell``
+    is changed if one is given."""
     cands = enumerate_wajsberg(n)
-    base = cands[pick % len(cands)]
+    base = AS_KIND[kind](cands[pick % len(cands)])
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
     rows = [[0] * n for _ in range(n)]
@@ -109,9 +134,15 @@ def corrupted_chain_product(n, pick, seed, cell, shift):
     for x in range(n):
         names[perm[x]] = base.names[x]
         comp[perm[x]] = perm[base.complement[x]]
-    x, y = divmod(cell % (n * n), n)
-    rows[x][y] = (rows[x][y] + 1 + shift % (n - 1)) % n
-    return FiniteAlgebra(Kind.WAJSBERG, names, CayleyTable(rows), perm[base.zero], perm[base.unit], comp)
+    if cell is not None:
+        x, y = divmod(cell % (n * n), n)
+        rows[x][y] = (rows[x][y] + 1 + shift % (n - 1)) % n
+    return FiniteAlgebra(kind, names, CayleyTable(rows), perm[base.zero], perm[base.unit], comp)
+
+
+def corrupted_chain_product(n, pick, seed, cell, shift):
+    """A randomly relabelled order-n wajsberg chain product with one cell changed."""
+    return relabelled_chain_product(Kind.WAJSBERG, n, pick, seed, cell, shift)
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,3 +173,124 @@ def test_pinned_examples_cover_both_outcomes():
     undiagnosable = corrupted_chain_product(16, 4, 0, 0, 0)
     assert reference_diagnosis(diagnosable)[1] is not None
     assert reference_diagnosis(undiagnosable)[1] is None
+
+
+def _reference_profiles(entries):
+    n = len(entries)
+    occ = [0] * n
+    for row in entries:
+        for v in row:
+            occ[v] += 1
+    return [
+        (
+            occ[x],
+            occ[entries[x][x]],
+            tuple(sorted(occ[v] for v in entries[x])),
+            tuple(sorted(occ[entries[r][x]] for r in range(n))),
+        )
+        for x in range(n)
+    ]
+
+
+def _reference_find_isomorphism(a, b):
+    n = a.order
+    if b.order != n:
+        return None
+    if (a.unit is None) != (b.unit is None):
+        return None
+    ta, tb = a.table.entries, b.table.entries
+    pa, pb = _reference_profiles(ta), _reference_profiles(tb)
+    if sorted(pa) != sorted(pb):
+        return None
+    match_complement = a.kind is not Kind.BCK
+    ca, cb = a.complement, b.complement
+
+    f = [-1] * n
+    used = [False] * n
+
+    def assign(x, y):
+        if pa[x] != pb[y] or used[y]:
+            return False
+        f[x] = y
+        used[y] = True
+        return True
+
+    if not assign(a.zero, b.zero):
+        return None
+    if a.unit is not None:
+        if f[a.unit] != -1:
+            if f[a.unit] != b.unit:
+                return None
+        elif not assign(a.unit, b.unit):
+            return None
+
+    candidates = {x: [y for y in range(n) if pb[y] == pa[x]] for x in range(n) if f[x] == -1}
+    order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
+
+    def consistent(x):
+        assigned = [u for u in range(n) if f[u] != -1]
+        for u in assigned:
+            for p, q in ((x, u), (u, x)):
+                r = ta[p][q]
+                if f[r] != -1 and tb[f[p]][f[q]] != f[r]:
+                    return False
+        if match_complement:
+            if f[ca[x]] != -1 and cb[f[x]] != f[ca[x]]:
+                return False
+            for u in assigned:
+                if ca[u] == x and cb[f[u]] != f[x]:
+                    return False
+        return True
+
+    def verify():
+        for x in range(n):
+            for y in range(n):
+                if f[ta[x][y]] != tb[f[x]][f[y]]:
+                    return False
+        if match_complement and any(f[ca[x]] != cb[f[x]] for x in range(n)):
+            return False
+        return True
+
+    def dfs(pos):
+        if pos == len(order):
+            return verify()
+        x = order[pos]
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            f[x] = y
+            used[y] = True
+            if consistent(x) and dfs(pos + 1):
+                return True
+            f[x] = -1
+            used[y] = False
+        return False
+
+    return tuple(f) if dfs(0) else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(Kind)),
+    n=st.integers(2, 16),
+    pick=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.none() | st.integers(0, 255),
+    shift=st.integers(0, 14),
+    drop_unit=st.booleans(),
+)
+# A clean 2^4 and a 2^4 whose corruption keeps the derived order.
+@example(kind=Kind.BCK, n=16, pick=4, seed=0, cell=None, shift=0, drop_unit=False)
+@example(kind=Kind.WAJSBERG, n=16, pick=4, seed=0, cell=1, shift=0, drop_unit=False)
+def test_isomorphism_searches_match_references(kind, n, pick, seed, cell, shift, drop_unit):
+    query = relabelled_chain_product(kind, n, pick, seed, cell, shift)
+    others = [AS_KIND[kind](c) for c in enumerate_wajsberg(n)]
+    if drop_unit and kind is Kind.BCK:
+        # Unbounded bck signatures: only the zero is a fixed pair.
+        query = dataclasses.replace(query, unit=None)
+        others = [dataclasses.replace(c, unit=None) for c in others]
+    for other in others:
+        for a, b in ((other, query), (query, other)):
+            assert find_isomorphism(a, b) == _reference_find_isomorphism(a, b)
+            expected = next(_reference_poset_isos(_reference_leq(a), _reference_leq(b)), None)
+            assert order_isomorphism(a, b) == expected

@@ -79,6 +79,21 @@ def test_bck_to_mv_requires_bound():
         bck_to_mv(unbounded)
 
 
+def test_bck_to_wajsberg_requires_bound():
+    unbounded = new_algebra("bck", ["z", "p", "q"], [[0, 0, 0], [1, 0, 1], [2, 2, 0]], zero=0)
+    with pytest.raises(AlgebraError, match="bck_to_wajsberg requires a bounded algebra"):
+        bck_to_wajsberg(unbounded)
+
+
+def test_bck_to_wajsberg_rejects_invalid(corpus):
+    for key in ("ex3_6_bck", "ex3_7_bck"):
+        with pytest.raises(AlgebraError) as direct:
+            bck_to_wajsberg(corpus[key])
+        with pytest.raises(AlgebraError) as via_mv:
+            bck_to_mv(corpus[key])
+        assert str(direct.value) == str(via_mv.value)
+
+
 def test_bck_to_mv_rejects_invalid(corpus):
     with pytest.raises(AlgebraError):
         bck_to_mv(corpus["ex3_6_bck"])
@@ -168,6 +183,13 @@ def test_converters_validate_output_kind(valid_wajsberg, valid_bck):
 def test_bck_to_wajsberg_roundtrip(valid_bck):
     for b in valid_bck:
         assert wajsberg_to_bck(bck_to_wajsberg(b)).table == b.table
+
+
+def test_bck_to_wajsberg_matches_route_through_mv(valid_bck):
+    # The direct formula complement(x*y) against the composite through the MV sum.
+    products = [wajsberg_to_bck(w) for n in range(2, 33) for w in enumerate_wajsberg(n)]
+    for b in valid_bck + products:
+        assert bck_to_wajsberg(b) == mv_to_wajsberg(bck_to_mv(b))
 
 
 def test_derive_mv_ops(corpus):
