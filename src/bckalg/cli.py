@@ -30,10 +30,11 @@ from .algfile import fixture_dir, load_algebra, render_algebra, save_algebra
 from .golden import run_check_paper
 
 
-# Largest order `enumerate` accepts, checked before anything is built: the
-# order-N chain alone has N*N cells and its axiom check scans N**3 triples, so
-# a mistyped order would otherwise run for hours. At least every order the
-# tests, the scripts and the benchmark use (128 at most).
+# Largest order `enumerate` accepts, checked before anything is built: each
+# order-N product has N*N cells, and with `--kind bck` each one goes through
+# `wajsberg_to_bck`, whose axiom check scans N**3 triples, so a mistyped order
+# would otherwise run for hours. At least every order the tests, the scripts
+# and the benchmark use (128 at most).
 MAX_ENUMERATE_ORDER = 256
 
 
@@ -108,17 +109,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise _InputError("--order must be >= 2")
     if args.order > MAX_ENUMERATE_ORDER:
         raise _InputError(f"--order must be <= {MAX_ENUMERATE_ORDER}")
+    out = None if args.out is None else Path(args.out)
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _InputError(str(exc)) from None
     algebras = enumerate_wajsberg(args.order)
     if args.kind == "bck":
         algebras = [wajsberg_to_bck(a) for a in algebras]
     print(f"pi_{args.order} = {len(algebras)}")
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         prefix = "w" if args.kind == "wajsberg" else "bck"
         for fact, alg in zip(factorizations(args.order), algebras):
             path = out / f"{prefix}{args.order}_{fact.label}.alg"
-            save_algebra(alg, path)
+            try:
+                save_algebra(alg, path)
+            except OSError as exc:
+                raise _InputError(str(exc)) from None
             print(f"wrote {path}")
     return 0
 

@@ -76,13 +76,22 @@ def lukasiewicz_chain(n: int) -> FiniteAlgebra:
 
 def direct_product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
     """Componentwise product of Wajsberg algebras; elements are component
-    tuples indexed in lexicographic order."""
+    tuples indexed in lexicographic order.
+
+    Every part is checked with ``check_wajsberg``. The product itself is
+    trusted, not checked: the wajsberg identities hold componentwise, so a
+    product of valid parts is valid."""
     if not parts:
         raise AlgebraError("direct product needs at least one part")
     for part in parts:
         if part.kind is not Kind.WAJSBERG:
             raise AlgebraError("direct product takes wajsberg algebras")
         require(check_wajsberg(part), part, "wajsberg algebra")
+    return _product(parts)
+
+
+def _product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
+    """The product of ``direct_product`` on parts the caller knows are valid."""
     if len(parts) == 1:
         return parts[0]
     tuples = list(product(*(range(p.order) for p in parts)))
@@ -100,11 +109,15 @@ def direct_product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
 
 def enumerate_wajsberg(n: int) -> list[FiniteAlgebra]:
     """One order-n Wajsberg algebra per factorization of n: the chain product
-    with the factorization's sizes."""
+    with the factorization's sizes.
+
+    Nothing is checked: Lukasiewicz chains are wajsberg algebras and so are
+    their products, so every result is valid by construction (the tests
+    confirm it with ``check_wajsberg``)."""
     if n < 2:
         raise AlgebraError("enumeration needs n >= 2")
     return [
-        direct_product([lukasiewicz_chain(r) for r in f.factors])
+        _product([lukasiewicz_chain(r) for r in f.factors])
         for f in factorizations(n)
     ]
 

@@ -2,7 +2,7 @@ import pytest
 
 from bckalg import check_mv, check_wajsberg, fixture_dir, parse_algebra, save_algebra
 from bckalg import lukasiewicz_chain, wajsberg_to_bck
-from bckalg import cli
+from bckalg import cli, golden
 from bckalg.cli import main
 
 
@@ -115,6 +115,15 @@ def test_enumerate_bck_kind(tmp_path, capsys):
     assert names == ["bck4_2x2.alg", "bck4_4.alg"]
 
 
+def test_enumerate_out_existing_file_is_input_error(tmp_path, capsys):
+    target = tmp_path / "F"
+    target.write_text("")
+    assert main(["enumerate", "--order", "4", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+
+
 def test_enumerate_rejects_small_order(capsys):
     assert main(["enumerate", "--order", "1"]) == 2
 
@@ -207,6 +216,18 @@ def test_check_paper_deterministic(capsys):
     first = capsys.readouterr().out
     main(["check-paper", str(fixture_dir())])
     assert capsys.readouterr().out == first
+
+
+def test_check_paper_checks_each_stored_implication_table_once(monkeypatch, capsys, corpus):
+    checked = []
+
+    def recording(alg):
+        checked.append(alg)
+        return check_wajsberg(alg)
+
+    monkeypatch.setattr(golden, "check_wajsberg", recording)
+    assert main(["check-paper"]) == 0
+    assert checked == [corpus[f"{ex}_wajsberg"] for ex in golden.EXAMPLES]
 
 
 def test_check_paper_missing_dir(tmp_path, capsys):

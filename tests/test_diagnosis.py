@@ -18,9 +18,11 @@ of all three kinds, clean or with one corrupted cell.
 import dataclasses
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bckalg import (
+    AlgebraError,
     CayleyTable,
     FiniteAlgebra,
     Kind,
@@ -161,6 +163,7 @@ def test_diagnosis_matches_exhaustive_reference(n, pick, seed, cell, shift):
     alg = corrupted_chain_product(n, pick, seed, cell, shift)
     cells, rows = reference_diagnosis(alg)
     diag = diagnose_wajsberg(alg)
+    assert diag.report == check_wajsberg(alg)
     assert tuple((c.row, c.col, c.stored, c.expected) for c in diag.cells) == cells
     if rows is None:
         assert diag.corrected is None
@@ -173,6 +176,16 @@ def test_pinned_examples_cover_both_outcomes():
     undiagnosable = corrupted_chain_product(16, 4, 0, 0, 0)
     assert reference_diagnosis(diagnosable)[1] is not None
     assert reference_diagnosis(undiagnosable)[1] is None
+
+
+@pytest.mark.parametrize("kind", [Kind.MV, Kind.BCK])
+def test_diagnosis_rejects_other_kinds(corpus, kind):
+    # Both carry a unit and a complement, so check_wajsberg would run on them
+    # and flag cells of a table that is valid under its own kind.
+    alg = AS_KIND[kind](corpus["ex3_1_wajsberg"])
+    assert alg.complement is not None and alg.unit is not None
+    with pytest.raises(AlgebraError, match="^diagnose_wajsberg takes a wajsberg algebra$"):
+        diagnose_wajsberg(alg)
 
 
 def _reference_profiles(entries):

@@ -14,9 +14,11 @@ from bckalg import (
     is_implicative,
     is_positive_implicative,
     lukasiewicz_chain,
+    new_algebra,
     poset_isomorphic,
     wajsberg_to_bck,
 )
+from bckalg import axioms, enumeration
 
 
 def test_factorizations_of_4():
@@ -108,6 +110,22 @@ def test_product_rejects_empty_and_bad_parts(corpus):
         direct_product([corpus["ex3_1_bck"]])
 
 
+def corrupted_chain():
+    """chain(4) with (e2,e1) raised from e2 to e3: still a wajsberg-kind table."""
+    c = lukasiewicz_chain(4)
+    rows = [list(r) for r in c.table.entries]
+    rows[2][1] = 3
+    return new_algebra("wajsberg", c.names, rows, one=3)
+
+
+@pytest.mark.parametrize("before", [0, 1])
+def test_product_rejects_part_failing_wajsberg_axioms(before):
+    parts = [lukasiewicz_chain(2)] * before + [corrupted_chain()]
+    with pytest.raises(AlgebraError) as exc:
+        direct_product(parts)
+    assert str(exc.value) == "input is not a valid wajsberg algebra: wajsberg-3 fails at (e1,e2)"
+
+
 def test_product_matches_stored_diamond(corpus):
     p = direct_product([lukasiewicz_chain(2), lukasiewicz_chain(2)])
     assert find_isomorphism(p, corpus["ex3_2_wajsberg"]) is not None
@@ -139,6 +157,24 @@ def test_enumerate_counts():
         assert a.order == 8 and check_wajsberg(a).passed
     with pytest.raises(AlgebraError):
         enumerate_wajsberg(1)
+
+
+def test_enumerate_runs_no_checker(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_wajsberg called an axiom checker")
+
+    checkers = [name for name, v in vars(enumeration).items() if getattr(v, "__module__", "") == axioms.__name__]
+    assert "check_wajsberg" in checkers
+    for name in checkers:
+        monkeypatch.setattr(enumeration, name, refuse)
+    for n in range(2, 33):
+        assert [a.order for a in enumeration.enumerate_wajsberg(n)] == [n] * len(factorizations(n))
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_enumerated_algebras_pass_wajsberg_axioms(n):
+    for a in enumerate_wajsberg(n):
+        assert check_wajsberg(a).passed
 
 
 def test_find_isomorphism_self_map(corpus):
