@@ -30,11 +30,11 @@ from .algfile import fixture_dir, load_algebra, render_algebra, save_algebra
 from .golden import run_check_paper
 
 
-# Largest order `enumerate` accepts, checked before anything is built: each
-# order-N product has N*N cells, and with `--kind bck` each one goes through
-# `wajsberg_to_bck`, whose axiom check scans N**3 triples, so a mistyped order
-# would otherwise run for hours. At least every order the tests, the scripts
-# and the benchmark use (128 at most).
+# Largest order `enumerate` accepts, checked before anything is built. The
+# wajsberg products alone are cheap (order 256 in about 0.2 s), but with
+# `--kind bck` each one goes through `wajsberg_to_bck`, whose axiom check
+# scans N**3 triples, so a mistyped order would otherwise run for hours. At
+# least every order the tests, the scripts and the benchmark use (128 at most).
 MAX_ENUMERATE_ORDER = 256
 
 

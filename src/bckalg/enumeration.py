@@ -2,11 +2,13 @@
 
 One algebra is produced per unordered factorization of n into factors >= 2
 (the single-factor decomposition included): the direct product of totally
-ordered chains with those sizes. Algebra and order isomorphism share one
-backtracking search, ``_bijections``, that matches elements by an invariant
-(table occurrence profiles, derived-order degrees), places the scarcest
-first and prunes against what is placed; n stays small, so nothing fancier
-is warranted.
+ordered chains with those sizes, built by mixed-radix index arithmetic.
+Algebra and order isomorphism share one backtracking search,
+``_bijections``, that matches elements by an invariant (table occurrence
+profiles, derived-order degrees), places the scarcest first and prunes
+against what is placed; ``find_isomorphism`` returns None before building
+profiles when the two tables' sorted occurrence counts differ. n stays
+small, so nothing fancier is warranted.
 """
 
 from __future__ import annotations
@@ -91,19 +93,20 @@ def direct_product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
 
 
 def _product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
-    """The product of ``direct_product`` on parts the caller knows are valid."""
+    """The product of ``direct_product`` on parts the caller knows are valid.
+
+    Element indices are mixed-radix numbers over the parts' indices, so each
+    part is folded in by index arithmetic: u*k + v joins the index u over the
+    parts so far with the index v in a part of order k."""
     if len(parts) == 1:
         return parts[0]
-    tuples = list(product(*(range(p.order) for p in parts)))
-    index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-    rows = [
-        [index[tuple(p.op(a, b) for p, a, b in zip(parts, ta, tb))] for tb in tuples]
-        for ta in tuples
-    ]
-    comp = [index[tuple(p.complement[a] for p, a in zip(parts, t))] for t in tuples]
-    names = ["(" + ",".join(p.names[a] for p, a in zip(parts, t)) + ")" for t in tuples]
-    one = index[tuple(p.unit for p in parts)]
+    rows, comp, one = parts[0].table.entries, parts[0].complement, parts[0].unit
+    for p in parts[1:]:
+        k = p.order
+        rows = [[u * k + v for u in ra for v in rb] for ra in rows for rb in p.table.entries]
+        comp = [u * k + v for u in comp for v in p.complement]
+        one = one * k + p.unit
+    names = ["(" + ",".join(t) + ")" for t in product(*(p.names for p in parts))]
     return new_algebra(Kind.WAJSBERG, names, rows, one=one, complement=comp)
 
 
@@ -122,12 +125,16 @@ def enumerate_wajsberg(n: int) -> list[FiniteAlgebra]:
     ]
 
 
-def _occurrence_profiles(entries: tuple[tuple[int, ...], ...]) -> list[tuple]:
-    n = len(entries)
-    occ = [0] * n
+def _occurrence_counts(entries: tuple[tuple[int, ...], ...]) -> list[int]:
+    occ = [0] * len(entries)
     for row in entries:
         for v in row:
             occ[v] += 1
+    return occ
+
+
+def _occurrence_profiles(entries: tuple[tuple[int, ...], ...], occ: list[int]) -> list[tuple]:
+    n = len(entries)
     return [
         (
             occ[x],
@@ -212,7 +219,10 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
             return False
         return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
 
-    found = _bijections(_occurrence_profiles(ta), _occurrence_profiles(tb), fixed, consistent)
+    occ_a, occ_b = _occurrence_counts(ta), _occurrence_counts(tb)
+    if sorted(occ_a) != sorted(occ_b):
+        return None
+    found = _bijections(_occurrence_profiles(ta, occ_a), _occurrence_profiles(tb, occ_b), fixed, consistent)
     return next((f for f in found if verify(f)), None)
 
 

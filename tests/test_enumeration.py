@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +148,57 @@ def test_product_commutes_and_associates_up_to_isomorphism():
     assert find_isomorphism(nested, flat) is not None
 
 
+def reference_product(parts):
+    """The tuple/dict product builder that ``_product`` replaced: each cell is
+    a component tuple looked up in an index of all tuples."""
+    if len(parts) == 1:
+        return parts[0]
+    tuples = list(product(*(range(p.order) for p in parts)))
+    index = {t: i for i, t in enumerate(tuples)}
+    rows = [
+        [index[tuple(p.op(a, b) for p, a, b in zip(parts, ta, tb))] for tb in tuples]
+        for ta in tuples
+    ]
+    comp = [index[tuple(p.complement[a] for p, a in zip(parts, t))] for t in tuples]
+    names = ["(" + ",".join(p.names[a] for p, a in zip(parts, t)) + ")" for t in tuples]
+    one = index[tuple(p.unit for p in parts)]
+    return new_algebra("wajsberg", names, rows, one=one, complement=comp)
+
+
+def reversed_chain(n):
+    """chain(n) relabelled by x -> n-1-x, so zero is at index n-1 and one at 0."""
+    c = lukasiewicz_chain(n)
+    top = n - 1
+    rows = [[top - c.op(top - x, top - y) for y in range(n)] for x in range(n)]
+    return new_algebra("wajsberg", [f"r{i}" for i in range(n)], rows, one=0)
+
+
+def test_product_matches_reference_on_every_factorization():
+    for n in range(2, 65):
+        expected = [reference_product([lukasiewicz_chain(r) for r in f.factors]) for f in factorizations(n)]
+        assert enumerate_wajsberg(n) == expected
+
+
+def test_product_matches_reference_on_fixture_pairs(valid_wajsberg):
+    for a in valid_wajsberg:
+        for b in valid_wajsberg:
+            assert direct_product([a, b]) == reference_product([a, b])
+
+
+def test_product_matches_reference_on_relabelled_part():
+    r = reversed_chain(4)
+    assert (r.zero, r.unit) == (3, 0)
+    c3 = lukasiewicz_chain(3)
+    for parts in ([r, c3], [c3, r], [c3, r, lukasiewicz_chain(2)], [r, r]):
+        assert direct_product(parts) == reference_product(parts)
+
+
+def test_product_matches_reference_when_nested():
+    c2 = lukasiewicz_chain(2)
+    nested = direct_product([direct_product([c2, c2]), c2])
+    assert nested == reference_product([reference_product([c2, c2]), c2])
+
+
 def test_enumerate_counts():
     assert len(enumerate_wajsberg(5)) == 1
     four = enumerate_wajsberg(4)
@@ -175,6 +228,27 @@ def test_enumerate_runs_no_checker(monkeypatch):
 def test_enumerated_algebras_pass_wajsberg_axioms(n):
     for a in enumerate_wajsberg(n):
         assert check_wajsberg(a).passed
+
+
+def test_find_isomorphism_rejects_candidates_on_occurrence_counts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("occurrence profiles built for non-isomorphic candidates")
+
+    candidates = {n: enumerate_wajsberg(n) for n in range(2, 65)}
+    monkeypatch.setattr(enumeration, "_occurrence_profiles", refuse)
+    pairs = 0
+    for algs in candidates.values():
+        for i, a in enumerate(algs):
+            for j, b in enumerate(algs):
+                if i != j:
+                    assert find_isomorphism(a, b) is None
+                    pairs += 1
+    assert pairs == 858
+    monkeypatch.undo()
+    for algs in candidates.values():
+        for a in algs:
+            f = find_isomorphism(a, a)
+            assert f is not None and check_morphism(f, a, a).passed
 
 
 def test_find_isomorphism_self_map(corpus):
