@@ -60,6 +60,9 @@ def _print_report(alg: FiniteAlgebra, report: VerificationReport) -> bool:
     return False
 
 
+_CHECKERS = {Kind.BCK: check_bck, Kind.WAJSBERG: check_wajsberg, Kind.MV: check_mv}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     alg = _load(args.file)
     if alg.kind.value != args.kind:
@@ -71,8 +74,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     if any(flag for flag, _ in extras) and alg.kind is not Kind.BCK:
         raise _InputError("--commutative/--implicative/--positive-implicative apply to bck files only")
-    checkers = {"bck": check_bck, "wajsberg": check_wajsberg, "mv": check_mv}
-    passed = _print_report(alg, checkers[args.kind](alg))
+    passed = _print_report(alg, _CHECKERS[alg.kind](alg))
     for flag, checker in extras:
         if flag:
             passed &= _print_report(alg, checker(alg))
@@ -88,7 +90,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         raise _InputError(f"{args.file} declares kind {alg.kind.value}, not {args.source}")
     to = Kind(args.to)
     try:
-        converted = alg if to is alg.kind else _CONVERSIONS[(alg.kind, to)](alg)
+        if to is alg.kind:
+            require(_CHECKERS[to](alg), alg, f"{to.value} algebra")
+            converted = alg
+        else:
+            converted = _CONVERSIONS[(alg.kind, to)](alg)
     except AlgebraError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -100,6 +106,10 @@ def _cmd_iseki(args: argparse.Namespace) -> int:
     alg = _load(args.file)
     if alg.kind is not Kind.BCK:
         raise _InputError(f"iseki extension takes a bck file, got kind {alg.kind.value}")
+    try:
+        require(check_bck(alg), alg, "bck algebra")
+    except AlgebraError as exc:
+        raise _InputError(f"{args.file}: {exc}") from None
     sys.stdout.write(render_algebra(iseki_extension(alg)))
     return 0
 

@@ -47,9 +47,6 @@ class CayleyTable:
     def order(self) -> int:
         return len(self.entries)
 
-    def value(self, x: int, y: int) -> int:
-        return self.entries[x][y]
-
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
@@ -91,9 +88,6 @@ class FiniteAlgebra:
 
     def op(self, x: int, y: int) -> int:
         return self.table.entries[x][y]
-
-    def name(self, x: int) -> str:
-        return self.names[x]
 
     def index(self, name: str) -> int:
         try:

@@ -6,8 +6,8 @@ as transcribed, defects included. The driver never corrects a fixture in
 place. Instead it:
 
 * checks the wajsberg axioms on each stored table; a failing table is
-  diagnosed against the order-matched chain product and every deviating
-  cell is flagged;
+  rebuilt from the chain coordinates of its derived order and every
+  deviating cell is flagged;
 * recomputes each difference table as complement(x.y) from the (diagnosed)
   implication table and flags every cell where the stored table disagrees;
 * checks bck axioms, commutativity and boundedness on the stored table, or
@@ -24,12 +24,13 @@ property does not hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from operator import le
 from pathlib import Path
 
-from .core import AlgebraError, FiniteAlgebra, Kind, bound_element, new_algebra
+from .core import AlgebraError, FiniteAlgebra, Kind, bound_element, new_algebra, order_relation
 from .axioms import VerificationReport, check_bck, check_wajsberg, format_violation, is_commutative
 from .transforms import bck_to_mv, derive_mv_ops, mv_to_bck, mv_to_wajsberg, wajsberg_to_bck, wajsberg_to_mv
-from .enumeration import enumerate_wajsberg, order_isomorphism
 from .substructures import ideals, subalgebras
 from .algfile import ParseError, load_algebra
 
@@ -86,7 +87,7 @@ class CellDiff:
 
 @dataclass(frozen=True)
 class Diagnosis:
-    """Outcome of matching a stored table against a valid reconstruction;
+    """Outcome of rebuilding a stored table from its derived order;
     ``report`` is the stored table's ``check_wajsberg`` report."""
 
     corrected: FiniteAlgebra | None
@@ -94,45 +95,54 @@ class Diagnosis:
     report: VerificationReport
 
 
+def _chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
+    """(tops, coords) with x -> coords[x] an isomorphism from the derived
+    order of ``alg`` onto the product of the chains 0 < ... < tops[i], or None.
+    Birkhoff: with h[x] = |down-set of x|, x is join-irreducible iff some
+    y <= x has h[y] = h[x] - 1; those above atom i form chain i less its
+    bottom, and coordinate i of x counts those below x. The result is then
+    checked in full: distinct coordinates filling the product, same order."""
+    leq = order_relation(alg).leq
+    n = alg.order
+    cols = list(zip(*leq))
+    h = [sum(col) for col in cols]
+    irreducible = [x for x in range(n) if any(b and h[y] == h[x] - 1 for y, b in enumerate(cols[x]))]
+    chains = [[j for j in irreducible if leq[a][j]] for a in range(n) if h[a] == 2]
+    if prod(len(chain) + 1 for chain in chains) != n:
+        return None
+    coords = [tuple(sum(col[j] for j in chain) for chain in chains) for col in cols]
+    if len(set(coords)) == n and leq == tuple(tuple(all(map(le, cx, cy)) for cy in coords) for cx in coords):
+        return tuple(map(len, chains)), coords
+    return None
+
+
 def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     """Locate suspected misprints in a stored wajsberg table.
 
-    A clean table diagnoses to itself. Otherwise the first order-n chain
-    product whose derived order matches the stored one is relabelled along
-    the first order isomorphism, and every cell where it differs from the
-    stored table is flagged. With no matching order, or an isomorphism that
-    misses the stored zero or one, the table cannot be diagnosed.
+    A clean table diagnoses to itself. Otherwise the table is rebuilt from
+    the chain coordinates of its derived order (``_chain_coordinates``),
+    coordinate i of x.y being min(t, t - x_i + y_i) on a chain with top t,
+    and every cell where the two differ is flagged. With no coordinates, or
+    the stored zero or one off the bottom or top, it cannot be diagnosed.
+    The rebuilt table is unique: coordinates are unique up to swapping
+    chains of equal length, and that swap is an algebra automorphism.
 
-    One isomorphism settles it. Finite MV-algebras are products of
-    Lukasiewicz chains and finite bounded lattices split into directly
-    indecomposable factors in only one way, so at most one product matches
-    and every order automorphism of it is an algebra automorphism: all
-    isomorphisms give the same table. All send bottom and top to bottom and
-    top, so if the first misses zero or one, every one does.
-
-    Only the stored table is checked, once, with ``check_wajsberg``; the
-    reconstruction relabels a chain product and is valid by construction.
-    Tables of another kind are rejected.
+    Only the stored table is checked, once, with ``check_wajsberg``: the
+    rebuilt one is a chain product. Tables of another kind are rejected.
     """
     if alg.kind is not Kind.WAJSBERG:
         raise AlgebraError("diagnose_wajsberg takes a wajsberg algebra")
     report = check_wajsberg(alg)
     if report.passed:
         return Diagnosis(alg, (), report)
-    n = alg.order
-    for cand in enumerate_wajsberg(n):
-        g = order_isomorphism(cand, alg)
-        if g is None:
-            continue
-        if g[cand.zero] != alg.zero or g[cand.unit] != alg.unit:
-            break
-        inv = [0] * n
-        for i, gi in enumerate(g):
-            inv[gi] = i
-        rows = [[g[cand.op(inv[x], inv[y])] for y in range(n)] for x in range(n)]
-        corrected = new_algebra(Kind.WAJSBERG, alg.names, rows, one=alg.unit)
-        return Diagnosis(corrected, cell_mismatches(alg, corrected), report)
-    return Diagnosis(None, (), report)
+    found = _chain_coordinates(alg)
+    if found is None or any(found[1][alg.zero]) or found[1][alg.unit] != found[0]:
+        return Diagnosis(None, (), report)
+    tops, coords = found
+    element = {c: x for x, c in enumerate(coords)}
+    rows = [[element[tuple(min(t, t - a + b) for t, a, b in zip(tops, cx, cy))] for cy in coords] for cx in coords]
+    corrected = new_algebra(Kind.WAJSBERG, alg.names, rows, one=alg.unit)
+    return Diagnosis(corrected, cell_mismatches(alg, corrected), report)
 
 
 def cell_mismatches(stored: FiniteAlgebra, expected: FiniteAlgebra) -> tuple[CellDiff, ...]:
@@ -164,12 +174,8 @@ def load_corpus(fixtures: Path) -> dict[str, FiniteAlgebra]:
     return corpus
 
 
-def _fmt_subset(alg: FiniteAlgebra, s: frozenset[int]) -> str:
-    return "{" + ",".join(alg.names[i] for i in sorted(s)) + "}"
-
-
 def _fmt_list(alg: FiniteAlgebra, subsets) -> str:
-    return " ".join(_fmt_subset(alg, s) for s in subsets) if subsets else "(none)"
+    return " ".join("{" + ",".join(alg.names[i] for i in sorted(s)) + "}" for s in subsets) if subsets else "(none)"
 
 
 def _as_name_sets(alg: FiniteAlgebra, subsets) -> set[frozenset[str]]:

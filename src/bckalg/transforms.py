@@ -58,7 +58,8 @@ def _translate(alg: FiniteAlgebra, source: Kind, target: Kind) -> FiniteAlgebra:
 
 def iseki_extension(alg: FiniteAlgebra) -> FiniteAlgebra:
     """Adjoin a fresh top to a BCK algebra:
-    x.y = x*y on the old carrier, x.1 = 0, 1.y = 1 for old y, 1.1 = 0."""
+    x.y = x*y on the old carrier, x.1 = 0, 1.y = 1 for old y, 1.1 = 0.
+    The input is not validated: run ``check_bck`` first, as ``bckalg iseki`` does."""
     if alg.kind is not Kind.BCK:
         raise AlgebraError("iseki extension takes a bck algebra")
     n = alg.order

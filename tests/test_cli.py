@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from bckalg import check_mv, check_wajsberg, fixture_dir, parse_algebra, save_algebra
@@ -94,6 +96,36 @@ def test_iseki(capsys, corpus):
 
 def test_iseki_needs_bck(capsys):
     assert main(["iseki", fx("ex3_1_wajsberg.alg")]) == 2
+
+
+NOT_BCK = "kind: bck\norder: 3\nelements: 0 a b\nzero: 0\ntable:\n0 0 0\na a a\nb a b\n"
+
+
+def test_iseki_rejects_table_failing_bck_axioms(tmp_path, capsys):
+    bad = tmp_path / "not_bck.alg"
+    bad.write_text(NOT_BCK)
+    assert main(["iseki", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: input is not a valid bck algebra: bci-1 fails at (a,0,0)\n"
+
+
+@pytest.mark.parametrize("to", ["bck", "wajsberg"])
+def test_convert_validates_like_every_target(tmp_path, capsys, to):
+    # converting to the file's own kind fails the same way as to another kind
+    bad = tmp_path / "not_bck.alg"
+    bad.write_text(NOT_BCK)
+    assert main(["convert", "--to", to, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input is not a valid bck algebra: bci-1 fails at (a,0,0)\n"
+
+
+def test_convert_to_own_kind_rejects_misprinted_wajsberg_table(capsys):
+    assert main(["convert", "--to", "wajsberg", fx("ex3_7_wajsberg.alg")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input is not a valid wajsberg algebra: ")
 
 
 def test_enumerate_prints_count(capsys):
@@ -209,6 +241,13 @@ def test_check_paper_flags_and_passes(capsys):
     assert "(U,T) stored=T expected=V" in out
     assert "(U,T) stored=Z expected=X" in out
     assert out.rstrip().endswith("check-paper: OK (7 examples, 3 flagged cell(s))")
+
+
+def test_check_paper_output_is_pinned(capsys):
+    # byte for byte: rewrite the expected file only for an intended change of output
+    expected = (Path(__file__).parent / "expected" / "check_paper.txt").read_text(encoding="utf-8")
+    assert main(["check-paper"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_check_paper_deterministic(capsys):

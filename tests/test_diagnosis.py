@@ -29,6 +29,7 @@ from bckalg import (
     check_wajsberg,
     enumerate_wajsberg,
     find_isomorphism,
+    new_algebra,
     wajsberg_to_bck,
     wajsberg_to_mv,
 )
@@ -176,6 +177,25 @@ def test_pinned_examples_cover_both_outcomes():
     undiagnosable = corrupted_chain_product(16, 4, 0, 0, 0)
     assert reference_diagnosis(diagnosable)[1] is not None
     assert reference_diagnosis(undiagnosable)[1] is None
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        # the stored one at the bottom of the derived order p < q
+        new_algebra(Kind.WAJSBERG, "pq", [[0, 0], [1, 0]], one=0),
+        # a chain of three whose stored zero is its middle element
+        new_algebra(Kind.WAJSBERG, ["e0", "e1", "e2"], [[2, 2, 2], [1, 2, 2], [1, 1, 2]], one=2, complement=[2, 2, 1]),
+        # x.x != 1, so x is not below itself
+        corrupted_chain_product(8, 2, 0, 6 * 8 + 6, 0),
+    ],
+    ids=["one-at-bottom", "zero-off-bottom", "diagonal"],
+)
+def test_diagnosis_rejects_orders_no_constant_keeping_isomorphism_matches(alg):
+    assert not check_wajsberg(alg).passed
+    assert reference_diagnosis(alg) == ((), None)
+    diag = diagnose_wajsberg(alg)
+    assert diag.corrected is None and diag.cells == ()
 
 
 @pytest.mark.parametrize("kind", [Kind.MV, Kind.BCK])

@@ -1,3 +1,5 @@
+import random
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -5,7 +7,10 @@ from hypothesis import given, strategies as st
 
 from bckalg import (
     AlgebraError,
+    CayleyTable,
     Factorization,
+    FiniteAlgebra,
+    check_bck,
     check_morphism,
     check_wajsberg,
     direct_product,
@@ -19,8 +24,9 @@ from bckalg import (
     new_algebra,
     poset_isomorphic,
     wajsberg_to_bck,
+    wajsberg_to_mv,
 )
-from bckalg import axioms, enumeration
+from bckalg import axioms, enumeration, golden
 
 
 def test_factorizations_of_4():
@@ -309,3 +315,42 @@ def test_enumerated_posets_pairwise_distinct():
         for i in range(len(algs)):
             for j in range(i + 1, len(algs)):
                 assert not poset_isomorphic(algs[i], algs[j])
+
+
+def relabelled(alg, seed):
+    """alg with its elements renumbered by a random permutation."""
+    n = alg.order
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    inv = sorted(range(n), key=perm.__getitem__)
+    rows = [[perm[alg.op(inv[x], inv[y])] for y in range(n)] for x in range(n)]
+    names = [alg.names[inv[x]] for x in range(n)]
+    comp = [perm[alg.complement[inv[x]]] for x in range(n)]
+    return FiniteAlgebra(alg.kind, names, CayleyTable(rows), perm[alg.zero], perm[alg.unit], comp)
+
+
+@pytest.mark.parametrize(
+    "read, max_n", [(lambda w: w, 64), (wajsberg_to_bck, 32), (wajsberg_to_mv, 32)], ids=["wajsberg", "bck", "mv"]
+)
+def test_chain_coordinates_recover_every_enumerated_factorization(read, max_n):
+    # a second path for the main claim: the factors are read off the derived
+    # order alone, sharing no code with the enumeration that built the table
+    for n in range(2, max_n + 1):
+        for fact, alg in zip(factorizations(n), enumerate_wajsberg(n)):
+            alg = relabelled(read(alg), seed=n)
+            tops, coords = golden._chain_coordinates(alg)
+            assert sorted(t + 1 for t in tops) == list(fact.factors)
+            chains = read(enumeration._product([lukasiewicz_chain(t + 1) for t in tops]))
+            index = [reduce(lambda u, ct: u * (ct[1] + 1) + ct[0], zip(c, tops), 0) for c in coords]
+            assert sorted(index) == list(range(n))
+            assert (index[alg.zero], index[alg.unit]) == (chains.zero, chains.unit)
+            assert check_morphism(index, alg, chains).passed
+
+
+def test_chain_coordinates_reject_an_order_that_is_no_product_of_chains():
+    # 0*x = 0, x*x = 0, x*y = x otherwise: a bck algebra whose four nonzero
+    # elements are pairwise incomparable atoms
+    rows = [[0 if x in (0, y) else x for y in range(5)] for x in range(5)]
+    alg = new_algebra("bck", "01234", rows, zero=0)
+    assert check_bck(alg).passed
+    assert golden._chain_coordinates(alg) is None

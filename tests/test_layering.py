@@ -80,3 +80,11 @@ def test_checker_flags_private_names(source):
 )
 def test_checker_allows_public_and_foreign_names(source):
     assert private_cross_module_uses(source) == []
+
+
+def test_golden_imports_nothing_from_enumeration():
+    # the diagnosis reads the chain factors off the derived order, so it is a
+    # second path for the main claim only while it shares no enumeration code
+    tree = ast.parse((MODULES[0].parent / "golden.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {"enumeration", "bckalg.enumeration"} & imported
