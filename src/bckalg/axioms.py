@@ -1,34 +1,44 @@
 """Exhaustive axiom checkers producing counterexample-bearing reports.
 
-Every check scans all tuples in lexicographic index order and keeps the
-first witness per axiom, so reports are deterministic. A report carries
-every failed axiom, not just the first.
+Each identity is written once, in ``_TERMS``, over x, y, z, the constants 0
+and 1, the table's operation *, the complement ' and, for a morphism, the
+map f and the target's operation op. A report carries every failed axiom,
+each with its first witness in lexicographic index order.
 
-Axiom ids:
-  bci-1  ((x*y)*(x*z))*(z*y) = 0
-  bci-2  (x*(x*y))*y = 0
-  bci-3  x*x = 0
-  bci-4  x*y = 0 and y*x = 0 imply x = y
-  bck-5  0*x = 0
-  commutative           x*(x*y) = y*(y*x)
-  implicative           x*(y*x) = x
-  positive-implicative  (x*y)*z = (x*z)*(y*z)
-  mv-assoc, mv-comm, mv-zero-identity, mv-double-negation,
-  mv-top-absorbing, mv-lukasiewicz
-  wajsberg-1  1.x = x
-  wajsberg-2  (x.y).((y.z).(x.z)) = 1
-  wajsberg-3  (x.y).y = (y.x).x
-  wajsberg-4  (~x.~y).(y.x) = 1
-  morphism    f(x*y) = f(x) op f(y)
+Axiom ids (the lines below are appended from ``_TERMS``):
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Mapping, Sequence
+from functools import cache
+from typing import Mapping, Sequence
 
 from .core import AlgebraError, FiniteAlgebra
+
+_TERMS = {
+    "bci-1": "((x*y)*(x*z))*(z*y) = 0",
+    "bci-2": "(x*(x*y))*y = 0",
+    "bci-3": "x*x = 0",
+    "bci-4": "x*y = 0 and y*x = 0 imply x = y",
+    "bck-5": "0*x = 0",
+    "commutative": "x*(x*y) = y*(y*x)",
+    "implicative": "x*(y*x) = x",
+    "positive-implicative": "(x*y)*z = (x*z)*(y*z)",
+    "mv-assoc": "(x*y)*z = x*(y*z)",
+    "mv-comm": "x*y = y*x",
+    "mv-zero-identity": "x*0 = x",
+    "mv-double-negation": "x'' = x",
+    "mv-top-absorbing": "x*1 = 1",
+    "mv-lukasiewicz": "(x'*y)'*y = (y'*x)'*x",
+    "wajsberg-1": "1*x = x",
+    "wajsberg-2": "(x*y)*((y*z)*(x*z)) = 1",
+    "wajsberg-3": "(x*y)*y = (y*x)*x",
+    "wajsberg-4": "(x'*y')*(y*x) = 1",
+    "morphism": "f(x*y) = f(x) op f(y)",
+}
+__doc__ = (__doc__ or "") + "".join(f"  {axiom}  {term}\n" for axiom, term in _TERMS.items())
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,7 @@ class VerificationReport:
         return not self.failures
 
     def witness_for(self, axiom: str) -> tuple[int, ...] | None:
-        for v in self.failures:
-            if v.axiom == axiom:
-                return v.witness
-        return None
+        return next((v.witness for v in self.failures if v.axiom == axiom), None)
 
 
 def format_violation(alg: FiniteAlgebra, v: Violation, verb: str = "at") -> str:
@@ -65,129 +72,122 @@ def require(report: VerificationReport, alg: FiniteAlgebra, wanted: str) -> None
         raise AlgebraError(f"input is not a valid {wanted}: {failure}")
 
 
-def _first_failure(n: int, arity: int, holds: Callable[..., bool]) -> tuple[int, ...] | None:
-    for tup in product(range(n), repeat=arity):
-        if not holds(*tup):
-            return tup
-    return None
+def _parse(term: str) -> ast.Compare:
+    """A term as the Python tree of ``lhs == rhs``: x' is read as the call x() and op as @."""
+    return ast.parse(term.replace("'", "()").replace(" op ", "@").replace("=", "=="), mode="eval").body
 
 
-def _collect(checked: str, n: int, axioms: Sequence[tuple[str, int, Callable[..., bool]]]) -> VerificationReport:
-    failures = []
-    for axiom_id, arity, holds in axioms:
-        witness = _first_failure(n, arity, holds)
-        if witness is not None:
-            failures.append(Violation(axiom_id, witness))
-    return VerificationReport(checked, tuple(failures))
+def _compile(term: str):
+    """The row kernel ``kernel(t, c, zero, one, f, u)`` of a term: one loop per leading
+    variable in lexicographic order, each subterm free of the last variable hoisted as
+    a scalar, a row t[s] or a column tcols[s] to the loop that binds its variables, and
+    one comprehension over the last variable. It returns the first failing tuple, or None."""
+    tree = _parse(term)
+    *lead, var = sorted({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} - {"f"})
+    last = len(lead) + 1  # loop level of the last variable; level 0 is outside every loop
+    bound: dict[str, tuple[str, int]] = {}  # hoisted subterm -> (local name, loop level)
+
+    def bind(expr: str, level: int) -> tuple[str, int]:
+        if level < last:
+            expr = bound.setdefault(expr, (f"s{len(bound)}", level))[0]
+        return expr, level
+
+    def walk(node) -> tuple[str, int]:
+        """The Python expression of a subterm and the loop level that binds its variables."""
+        if isinstance(node, ast.Name):
+            return node.id, (lead + [var]).index(node.id) + 1
+        if isinstance(node, ast.Constant):
+            return ("zero", "one")[node.value], 0
+        if isinstance(node, ast.Call):
+            sym, (a, level) = ("f", walk(node.args[0])) if node.args else ("c", walk(node.func))
+            return bind(f"{sym}[{a}]", level)
+        sym = "u" if isinstance(node.op, ast.MatMult) else "t"
+        (a, la), (b, lb) = walk(node.left), walk(node.right)
+        if la < last:
+            return bind(f"{bind(f'{sym}[{a}]', la)[0]}[{b}]", max(la, lb))
+        return (f"{sym}[{a}][{b}]" if lb == last else f"{bind(f'{sym}cols[{b}]', lb)[0]}[{a}]"), last
+
+    (left, _), (right, _) = walk(tree.left), walk(tree.comparators[0])
+    src = ["def kernel(t, c, zero, one, f, u):", " rng = range(len(t))"]
+    src += [f" {s}cols = tuple(zip(*{s}))" for s in "tu" if f"{s}cols[" in "".join(bound)]
+    loops = [f"for {v} in rng:" for v in lead] + [f"bad = [{var} for {var} in rng if {left} != {right}]"]
+    for level, loop in enumerate(loops):
+        hoist = [f"{name} = {expr}" for expr, (name, at) in bound.items() if at == level]
+        src += [" " * (level + 1) + line for line in hoist + [loop]]
+    src.append(f"{' ' * last}if bad: return {''.join(v + ', ' for v in lead)}bad[0],")
+    exec("\n".join(src), scope := {})
+    return scope["kernel"]
 
 
-def _bci_axioms(alg: FiniteAlgebra) -> list[tuple[str, int, Callable[..., bool]]]:
-    t = alg.table.entries
-    z = alg.zero
-    return [
-        ("bci-1", 3, lambda x, y, zz: t[t[t[x][y]][t[x][zz]]][t[zz][y]] == z),
-        ("bci-2", 2, lambda x, y: t[t[x][t[x][y]]][y] == z),
-        ("bci-3", 1, lambda x: t[x][x] == z),
-        ("bci-4", 2, lambda x, y: not (t[x][y] == z and t[y][x] == z and x != y)),
-    ]
+def _antisymmetry(t, c, zero, one, f, u):
+    """bci-4 is a quasi-identity, not a term: the first x, y with x*y = 0 = y*x and x != y."""
+    pairs = ((x, y) for x, row in enumerate(t) for y, v in enumerate(row) if v == zero == t[y][x] and x != y)
+    return next(pairs, None)
+
+
+@cache
+def _kernel(axiom: str):
+    return _antisymmetry if axiom == "bci-4" else _compile(_TERMS[axiom])
+
+
+def _report(checked: str, axioms: tuple[str, ...], alg: FiniteAlgebra, f=None, u=None):
+    args = (alg.table.entries, alg.complement, alg.zero, alg.unit, f, u)
+    witnesses = [(axiom, _kernel(axiom)(*args)) for axiom in axioms]
+    return VerificationReport(checked, tuple(Violation(a, w) for a, w in witnesses if w is not None))
 
 
 def check_bci(alg: FiniteAlgebra) -> VerificationReport:
-    return _collect("bci", alg.order, _bci_axioms(alg))
+    return _report("bci", ("bci-1", "bci-2", "bci-3", "bci-4"), alg)
 
 
 def check_bck(alg: FiniteAlgebra) -> VerificationReport:
-    t = alg.table.entries
-    z = alg.zero
-    axioms = _bci_axioms(alg) + [("bck-5", 1, lambda x: t[z][x] == z)]
-    return _collect("bck", alg.order, axioms)
+    return _report("bck", ("bci-1", "bci-2", "bci-3", "bci-4", "bck-5"), alg)
 
 
 def is_commutative(alg: FiniteAlgebra) -> VerificationReport:
-    t = alg.table.entries
-    return _collect(
-        "commutative",
-        alg.order,
-        [("commutative", 2, lambda x, y: t[x][t[x][y]] == t[y][t[y][x]])],
-    )
+    return _report("commutative", ("commutative",), alg)
 
 
 def is_implicative(alg: FiniteAlgebra) -> VerificationReport:
-    t = alg.table.entries
-    return _collect(
-        "implicative",
-        alg.order,
-        [("implicative", 2, lambda x, y: t[x][t[y][x]] == x)],
-    )
+    return _report("implicative", ("implicative",), alg)
 
 
 def is_positive_implicative(alg: FiniteAlgebra) -> VerificationReport:
-    t = alg.table.entries
-    return _collect(
-        "positive-implicative",
-        alg.order,
-        [("positive-implicative", 3, lambda x, y, z: t[t[x][y]][z] == t[t[x][z]][t[y][z]])],
-    )
+    return _report("positive-implicative", ("positive-implicative",), alg)
 
 
 def check_mv(alg: FiniteAlgebra) -> VerificationReport:
-    """Abelian-monoid laws plus double negation, top absorption and the
-    two-variable distinguishing identity. The monoid laws are checked even
-    though the signature presupposes them: a checker that trusts unstated
-    laws would accept garbage tables."""
+    """Abelian-monoid laws plus double negation, top absorption and the two-variable
+    distinguishing identity. The monoid laws are checked even though the signature
+    presupposes them: a checker that trusts unstated laws would accept garbage tables."""
     if alg.complement is None:
         raise AlgebraError("mv check requires a complement")
-    t = alg.table.entries
-    z = alg.zero
-    c = alg.complement
-    top = c[z]
-    axioms = [
-        ("mv-assoc", 3, lambda x, y, zz: t[t[x][y]][zz] == t[x][t[y][zz]]),
-        ("mv-comm", 2, lambda x, y: t[x][y] == t[y][x]),
-        ("mv-zero-identity", 1, lambda x: t[x][z] == x),
-        ("mv-double-negation", 1, lambda x: c[c[x]] == x),
-        ("mv-top-absorbing", 1, lambda x: t[x][top] == top),
-        ("mv-lukasiewicz", 2, lambda x, y: t[c[t[c[x]][y]]][y] == t[c[t[c[y]][x]]][x]),
-    ]
-    return _collect("mv", alg.order, axioms)
+    if alg.unit != alg.complement[alg.zero]:
+        raise AlgebraError("mv check requires the unit to be complement(zero)")
+    return _report("mv", ("mv-assoc", "mv-comm", "mv-zero-identity", "mv-double-negation",
+                         "mv-top-absorbing", "mv-lukasiewicz"), alg)
 
 
 def check_wajsberg(alg: FiniteAlgebra) -> VerificationReport:
+    """The identities never read zero, so a passing table is rejected unless zero = unit'."""
     if alg.unit is None or alg.complement is None:
         raise AlgebraError("wajsberg check requires a unit and a complement")
-    t = alg.table.entries
-    one = alg.unit
-    c = alg.complement
-    axioms = [
-        ("wajsberg-1", 1, lambda x: t[one][x] == x),
-        ("wajsberg-2", 3, lambda x, y, z: t[t[x][y]][t[t[y][z]][t[x][z]]] == one),
-        ("wajsberg-3", 2, lambda x, y: t[t[x][y]][y] == t[t[y][x]][x]),
-        ("wajsberg-4", 2, lambda x, y: t[t[c[x]][c[y]]][t[y][x]] == one),
-    ]
-    return _collect("wajsberg", alg.order, axioms)
+    report = _report("wajsberg", ("wajsberg-1", "wajsberg-2", "wajsberg-3", "wajsberg-4"), alg)
+    if report.passed and alg.zero != alg.complement[alg.unit]:
+        raise AlgebraError("wajsberg check requires zero to be complement(unit)")
+    return report
 
 
 def check_morphism(
-    f: Sequence[int] | Mapping[int, int],
-    source: FiniteAlgebra,
-    target: FiniteAlgebra,
+    f: Sequence[int] | Mapping[int, int], source: FiniteAlgebra, target: FiniteAlgebra
 ) -> VerificationReport:
     """f(x op y) = f(x) op f(y) over all pairs; bijective passing maps are isomorphisms."""
     n = source.order
     if isinstance(f, Mapping):
-        if set(f.keys()) != set(range(n)):
-            raise AlgebraError("morphism map must be total on the source carrier")
-        images = tuple(f[x] for x in range(n))
-    else:
-        images = tuple(f)
-        if len(images) != n:
-            raise AlgebraError("morphism map must be total on the source carrier")
-    m = target.order
-    if any(not isinstance(v, int) or not 0 <= v < m for v in images):
+        f = [f[x] for x in range(n)] if set(f.keys()) == set(range(n)) else []
+    images = tuple(f)
+    if len(images) != n:
+        raise AlgebraError("morphism map must be total on the source carrier")
+    if any(not isinstance(v, int) or not 0 <= v < target.order for v in images):
         raise AlgebraError("morphism image out of range of the target carrier")
-    ts, tt = source.table.entries, target.table.entries
-    return _collect(
-        "morphism",
-        n,
-        [("morphism", 2, lambda x, y: images[ts[x][y]] == tt[images[x]][images[y]])],
-    )
+    return _report("morphism", ("morphism",), source, images, target.table.entries)

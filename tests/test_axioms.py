@@ -1,4 +1,6 @@
+import ast
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,8 +20,13 @@ from bckalg import (
     lukasiewicz_chain,
     new_algebra,
     wajsberg_to_bck,
+    wajsberg_to_mv,
     AlgebraError,
+    FiniteAlgebra,
+    Kind,
 )
+from bckalg import axioms
+from bckalg.golden import diagnose_wajsberg
 
 TWO_CHAIN = [[0, 0], [1, 0]]
 
@@ -121,6 +128,23 @@ def test_wajsberg_check_requires_signature(corpus):
         check_wajsberg(corpus["ex3_1_bck"])
 
 
+def test_wajsberg_check_rejects_a_zero_that_is_not_the_complement_of_one():
+    c = lukasiewicz_chain(3)
+    alg = FiniteAlgebra(Kind.WAJSBERG, c.names, c.table, 1, 2, c.complement)
+    assert c.complement[2] == 0
+    with pytest.raises(AlgebraError, match="complement"):
+        check_wajsberg(alg)
+    with pytest.raises(AlgebraError, match="complement"):
+        diagnose_wajsberg(alg)
+
+
+def test_mv_check_rejects_a_unit_that_is_not_the_complement_of_zero():
+    m = wajsberg_to_mv(lukasiewicz_chain(3))
+    assert m.complement[m.zero] == 2
+    with pytest.raises(AlgebraError, match="complement"):
+        check_mv(FiniteAlgebra(Kind.MV, m.names, m.table, m.zero, 1, m.complement))
+
+
 def test_morphism_identity(corpus):
     a = corpus["ex3_1_bck"]
     assert check_morphism(list(range(4)), a, a).passed
@@ -147,6 +171,9 @@ def test_morphism_must_be_total(corpus):
         check_morphism([0, 1], a, a)
     with pytest.raises(AlgebraError):
         check_morphism([0, 1, 2, 9], a, a)
+    with pytest.raises(AlgebraError, match="total"):
+        check_morphism({0: 0, 1: 1, 2: 2, 4: 3}, a, a)
+    assert check_morphism({3: 3, 2: 2, 1: 1, 0: 0}, a, a).passed
 
 
 def test_bck_implies_bci(corpus):
@@ -199,3 +226,89 @@ def test_checks_are_fast_at_order_12():
     assert check_bck(big).passed
     assert is_commutative(big).passed
     assert time.perf_counter() - start < 1.0
+
+
+AXIOMS_SOURCE = ast.parse(Path(axioms.__file__).read_text(encoding="utf-8"))
+
+
+def test_axioms_module_has_no_lambda_and_no_product_scan():
+    nodes = list(ast.walk(AXIOMS_SOURCE))
+    assert not [node.lineno for node in nodes if isinstance(node, ast.Lambda)]
+    imported = {(getattr(node, "module", None), alias.name) for node in nodes
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not [pair for pair in imported if "itertools" in pair]
+    assert not [node for node in nodes if isinstance(node, ast.Attribute) and node.attr == "product"]
+
+
+def test_each_axiom_id_is_in_the_term_table_once():
+    table = next(
+        node.value for node in AXIOMS_SOURCE.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_TERMS"
+    )
+    ids = [key.value for key in table.keys]
+    assert len(ids) == len(set(ids))
+    checked = {
+        const.value
+        for node in ast.walk(AXIOMS_SOURCE)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_report"
+        for const in ast.walk(node.args[1])
+        if isinstance(const, ast.Constant)
+    }
+    assert checked == set(ids)
+
+
+def render(node, operand=False):
+    """A parsed term in the docstring's notation, parenthesizing nested products."""
+    if isinstance(node, ast.Compare):
+        return f"{render(node.left)} = {render(node.comparators[0])}"
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    if isinstance(node, ast.Call):
+        return f"f({render(node.args[0])})" if node.args else render(node.func, True) + "'"
+    op = "*" if isinstance(node.op, ast.Mult) else " op "
+    text = render(node.left, True) + op + render(node.right, True)
+    return f"({text})" if operand else text
+
+
+@pytest.mark.parametrize("axiom", [a for a in axioms._TERMS if a != "bci-4"])
+def test_term_renders_as_its_docstring_line(axiom):
+    term = axioms._TERMS[axiom]
+    assert render(axioms._parse(term)) == term
+    assert f"\n  {axiom}  {term}\n" in axioms.__doc__
+
+
+def test_bci_4_is_a_predicate_not_a_term():
+    assert axioms._kernel("bci-4") is axioms._antisymmetry
+    assert check_bci(new_algebra("bck", "ab", [[0, 0], [0, 0]], zero=0)).witness_for("bci-4") == (0, 1)
+
+
+def every_checker():
+    w = lukasiewicz_chain(3)
+    b, m = wajsberg_to_bck(w), wajsberg_to_mv(w)
+    for check in (check_bci, check_bck, is_commutative, is_implicative, is_positive_implicative):
+        check(b)
+    check_mv(m)
+    check_wajsberg(w)
+    check_morphism([0, 1, 2], b, b)
+
+
+def test_checker_calls_compile_nothing_once_each_identity_is_compiled(monkeypatch):
+    compiled = []
+    compile_term = axioms._compile
+
+    def counting(term):
+        compiled.append(term)
+        return compile_term(term)
+
+    every_checker()
+    monkeypatch.setattr(axioms, "_compile", counting)
+    every_checker()
+    every_checker()
+    assert compiled == []
+    # the counter does see compiles: with the kernels dropped, each identity compiles once
+    axioms._kernel.cache_clear()
+    every_checker()
+    every_checker()
+    assert sorted(compiled) == sorted(term for axiom, term in axioms._TERMS.items() if axiom != "bci-4")
