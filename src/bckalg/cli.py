@@ -151,19 +151,14 @@ def _cmd_sub(args: argparse.Namespace) -> int:
     except AlgebraError as exc:
         raise _InputError(f"{args.file}: {exc}") from None
     proper = not args.all
-    want_subs = args.subalgebras or not (args.subalgebras or args.ideals)
-    want_ideals = args.ideals or not (args.subalgebras or args.ideals)
     scope = "proper" if proper else "all"
-    if want_subs:
-        subs = subalgebras(alg, proper_only=proper)
-        print(f"subalgebras ({scope}, {len(subs)}):")
-        for s in subs:
-            print("  {" + ",".join(alg.names[i] for i in sorted(s)) + "}")
-    if want_ideals:
-        ids = ideals(alg, proper_only=proper)
-        print(f"ideals ({scope}, {len(ids)}):")
-        for s in ids:
-            print("  {" + ",".join(alg.names[i] for i in sorted(s)) + "}")
+    both = not (args.subalgebras or args.ideals)
+    for label, wanted, family in (("subalgebras", args.subalgebras, subalgebras), ("ideals", args.ideals, ideals)):
+        if wanted or both:
+            sets = family(alg, proper_only=proper)
+            print(f"{label} ({scope}, {len(sets)}):")
+            for s in sets:
+                print("  {" + ",".join(alg.names[i] for i in sorted(s)) + "}")
     return 0
 
 

@@ -113,8 +113,9 @@ def new_algebra(
       x*one = zero; an explicit complement must agree with the top's row when
       a top exists.
     * ``wajsberg``: one required; zero is complement(one) when a complement is
-      given, else the unique element whose row is constantly one; the
-      complement defaults to the zero column and an explicit one must match.
+      given, else the unique element whose row is constantly one, which must
+      then be complement(one), i.e. one.zero = zero; the complement defaults
+      to the zero column and an explicit one must match.
     * ``mv``: zero and complement required; one is derived as complement(zero).
     """
     kind = Kind(kind)
@@ -156,6 +157,8 @@ def new_algebra(
                     "cannot derive zero: need an explicit complement or exactly one row constantly equal to one"
                 )
             derived_zero = constant_rows[0]
+            if tab.entries[one][derived_zero] != derived_zero:
+                raise AlgebraError(f"derived zero {derived_zero} is not complement(one): one.zero is not zero")
         if zero is not None and zero != derived_zero:
             raise AlgebraError("designated zero disagrees with the derived zero")
         derived_comp = tuple(tab.entries[x][derived_zero] for x in range(n))

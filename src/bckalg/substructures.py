@@ -1,61 +1,76 @@
 """Subalgebra and ideal enumeration for finite BCK tables.
 
-Subalgebras are found by monotone closure growth from {zero}; ideals by a
-scan of the downward-closed subsets containing zero (only those can be
-ideals). Results are ordered by size, then by member indices, so printed
-lists are deterministic. "Proper" excludes the full carrier and the bare
-{zero} singleton.
+One enumerator lists the closed subsets: from the closure of {zero} it adds
+one element at a time to every set found and closes again. Closed sets are
+held as int bitsets (bit x for member x), and closing a set with new
+elements looks up only the pairs that involve a new element. Ideals are the
+subalgebras that absorb downward: in a BCK algebra every ideal is closed,
+since x, y in I and (x*y)*x = 0 put x*y in I. On a table that is not BCK,
+``ideals`` lists only the closed absorbing sets. Results are ordered by
+size, then by member indices, so printed lists are deterministic. "Proper"
+excludes the full carrier and the bare {zero} singleton.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra
 
 
+def _members(alg: FiniteAlgebra, members: Iterable[int]) -> frozenset[int]:
+    """The members as a set, each checked to be an element index."""
+    s = frozenset(members)
+    for x in s:
+        if not isinstance(x, int) or not 0 <= x < alg.order:
+            raise AlgebraError(f"member {x!r} is not an element index for order {alg.order}")
+    return s
+
+
+def _elements(bits: int) -> list[int]:
+    return [x for x in range(bits.bit_length()) if bits >> x & 1]
+
+
+def _close(t: Sequence[Sequence[int]], bits: int, fresh: Iterable[int]) -> int:
+    """The closure of the closed bitset ``bits`` with the elements ``fresh``.
+
+    Each new element m, taken in turn, is paired both ways with itself and
+    every element before it, so no pair of old elements is looked up."""
+    done = _elements(bits)
+    queue = []
+    for m in fresh:
+        if not bits >> m & 1:
+            bits |= 1 << m
+            queue.append(m)
+    for m in queue:
+        row = t[m]
+        done.append(m)
+        for y in done:
+            for v in (row[y], t[y][m]):
+                if not bits >> v & 1:
+                    bits |= 1 << v
+                    queue.append(v)
+    return bits
+
+
 def closure_of(alg: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
     """Smallest subset containing the seed and closed under the table."""
-    members = set(seed)
-    frontier = list(members)
-    while frontier:
-        fresh = []
-        for x in list(members):
-            for y in frontier:
-                for v in (alg.op(x, y), alg.op(y, x)):
-                    if v not in members:
-                        members.add(v)
-                        fresh.append(v)
-        frontier = fresh
-    return frozenset(members)
+    return frozenset(_elements(_close(alg.table.entries, 0, _members(alg, seed))))
 
 
 def is_subalgebra(alg: FiniteAlgebra, members: Iterable[int]) -> bool:
-    s = frozenset(members)
+    s = _members(alg, members)
     if not s:
         raise AlgebraError("a subalgebra is a nonempty subset")
     return all(alg.op(x, y) in s for x in s for y in s)
 
 
 def is_ideal(alg: FiniteAlgebra, members: Iterable[int]) -> bool:
-    s = frozenset(members)
+    s = _members(alg, members)
     if alg.zero not in s:
         return False
     t = alg.table.entries
     return all(not (t[x][y] in s and x not in s) for y in s for x in range(alg.order))
-
-
-def _sorted_subsets(subsets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    return sorted(subsets, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-def _filter_proper(alg: FiniteAlgebra, subsets: list[frozenset[int]], proper_only: bool) -> list[frozenset[int]]:
-    if not proper_only:
-        return subsets
-    full = frozenset(range(alg.order))
-    trivial = frozenset({alg.zero})
-    return [s for s in subsets if s != full and s != trivial]
 
 
 def subalgebras(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset[int]]:
@@ -65,47 +80,36 @@ def subalgebras(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset
     The input is not validated. The search starts from {zero} and so assumes
     x*x = zero; on a table that fails the BCK axioms it still returns a list
     that looks plausible. Run ``check_bck`` first, as ``bckalg sub`` does."""
-    found = {closure_of(alg, {alg.zero})}
+    t = alg.table.entries
+    found = {_close(t, 0, (alg.zero,))}
     frontier = list(found)
     while frontier:
         fresh = []
         for base in frontier:
             for x in range(alg.order):
-                if x in base:
-                    continue
-                grown = closure_of(alg, base | {x})
-                if grown not in found:
-                    found.add(grown)
-                    fresh.append(grown)
+                if not base >> x & 1:
+                    grown = _close(t, base, (x,))
+                    if grown not in found:
+                        found.add(grown)
+                        fresh.append(grown)
         frontier = fresh
-    return _filter_proper(alg, _sorted_subsets(found), proper_only)
+    if proper_only:
+        found -= {(1 << alg.order) - 1, 1 << alg.zero}
+    return [frozenset(s) for s in sorted(map(_elements, found), key=lambda s: (len(s), s))]
 
 
 def ideals(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset[int]]:
-    """All subsets containing zero that absorb downward under x*y.
+    """The subalgebras that absorb downward under x*y (``is_ideal``).
 
     The input is not validated: on a table that fails the BCK axioms it
     still returns a list that looks plausible. Run ``check_bck`` first, as
     ``bckalg sub`` does."""
-    n = alg.order
-    t = alg.table.entries
-    z = alg.zero
-    below = [frozenset(x for x in range(n) if t[x][y] == z) for y in range(n)]
-    rest = [x for x in range(n) if x != z]
-    found = []
-    for k in range(len(rest) + 1):
-        for extra in combinations(rest, k):
-            s = frozenset((z, *extra))
-            if any(not below[y] <= s for y in s):
-                continue
-            if is_ideal(alg, s):
-                found.append(s)
-    return _filter_proper(alg, _sorted_subsets(found), proper_only)
+    return [s for s in subalgebras(alg, proper_only) if is_ideal(alg, s)]
 
 
 def induced_subalgebra(alg: FiniteAlgebra, members: Iterable[int]) -> FiniteAlgebra:
     """The standalone BCK algebra on a closed subset, indices compacted in order."""
-    s = sorted(set(members))
+    s = sorted(_members(alg, members))
     if not is_subalgebra(alg, s):
         raise AlgebraError("subset is not closed under the table")
     if alg.zero not in s:

@@ -11,6 +11,7 @@ from bckalg import (
     derived_order,
     involutions,
     iseki_extension,
+    lukasiewicz_chain,
     new_algebra,
 )
 
@@ -148,6 +149,16 @@ def test_wajsberg_zero_derived_from_constant_row(corpus):
 def test_wajsberg_zero_underivable():
     with pytest.raises(AlgebraError):
         new_algebra("wajsberg", ["a", "b"], [[1, 1], [1, 1]], one=1)
+
+
+def test_wajsberg_derived_zero_must_be_complement_of_one():
+    # row 0 is still the only row constantly one, but one.0 = 1, so 0 is not complement(one)
+    c = lukasiewicz_chain(3)
+    rows = [list(r) for r in c.table.entries]
+    assert new_algebra("wajsberg", c.names, rows, one=2).zero == 0
+    rows[2][0] = 1
+    with pytest.raises(AlgebraError, match="complement"):
+        new_algebra("wajsberg", c.names, rows, one=2)
 
 
 def test_wajsberg_explicit_zero_must_match(corpus):

@@ -38,7 +38,7 @@ def brute_force_subalgebras(alg):
 
 
 def brute_force_ideals(alg):
-    """Raw scan with no downward-closure pre-filter."""
+    """Raw scan of every subset containing zero, independent of the enumerator."""
     n = alg.order
     found = []
     others = [x for x in range(n) if x != alg.zero]
@@ -127,7 +127,7 @@ def test_closure_growth_matches_powerset_scan(corpus, valid_bck):
 
 
 def test_prefiltered_ideals_match_raw_scan(corpus):
-    # includes the two defective stored tables; the pre-filter must not drop anything
+    # includes the two defective stored tables; filtering subalgebras must not drop an ideal
     for name, a in sorted(corpus.items()):
         if name.endswith("_bck"):
             assert set(ideals(a)) == brute_force_ideals(a)
@@ -175,6 +175,35 @@ def test_induced_subalgebra_errors(corpus):
     a = corpus["ex3_1_bck"]
     with pytest.raises(AlgebraError):
         induced_subalgebra(a, {1, 2})
+
+
+OUT_OF_RANGE = [-1, 4, 7, 1.5, "A", None]
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE, ids=repr)
+def test_closure_of_rejects_members_out_of_range(corpus, bad):
+    with pytest.raises(AlgebraError):
+        closure_of(corpus["ex3_1_bck"], {bad})
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE, ids=repr)
+def test_is_subalgebra_rejects_members_out_of_range(corpus, bad):
+    # {0, 3, -1} once passed: -1 wrapped round to the last element, E
+    with pytest.raises(AlgebraError):
+        is_subalgebra(corpus["ex3_1_bck"], {0, 3, bad})
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE, ids=repr)
+def test_is_ideal_rejects_members_out_of_range(corpus, bad):
+    # {0, 1, 2, 3, -1} once passed, and {0, 7} raised IndexError
+    with pytest.raises(AlgebraError):
+        is_ideal(corpus["ex3_1_bck"], {0, 1, 2, 3, bad})
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE, ids=repr)
+def test_induced_subalgebra_rejects_members_out_of_range(corpus, bad):
+    with pytest.raises(AlgebraError):
+        induced_subalgebra(corpus["ex3_1_bck"], [0, 3, bad])
 
 
 def test_induced_subalgebra_relabels(corpus):
