@@ -103,14 +103,20 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_iseki(args: argparse.Namespace) -> int:
-    alg = _load(args.file)
+def _load_bck(path: str, taker: str) -> FiniteAlgebra:
+    """A file that must hold a valid bck algebra; anything else is an input error."""
+    alg = _load(path)
     if alg.kind is not Kind.BCK:
-        raise _InputError(f"iseki extension takes a bck file, got kind {alg.kind.value}")
+        raise _InputError(f"{taker} takes a bck file, got kind {alg.kind.value}")
     try:
         require(check_bck(alg), alg, "bck algebra")
     except AlgebraError as exc:
-        raise _InputError(f"{args.file}: {exc}") from None
+        raise _InputError(f"{path}: {exc}") from None
+    return alg
+
+
+def _cmd_iseki(args: argparse.Namespace) -> int:
+    alg = _load_bck(args.file, "iseki extension")
     sys.stdout.write(render_algebra(iseki_extension(alg)))
     return 0
 
@@ -143,13 +149,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sub(args: argparse.Namespace) -> int:
-    alg = _load(args.file)
-    if alg.kind is not Kind.BCK:
-        raise _InputError(f"sub takes a bck file, got kind {alg.kind.value}")
-    try:
-        require(check_bck(alg), alg, "bck algebra")
-    except AlgebraError as exc:
-        raise _InputError(f"{args.file}: {exc}") from None
+    alg = _load_bck(args.file, "sub")
     proper = not args.all
     scope = "proper" if proper else "all"
     both = not (args.subalgebras or args.ideals)
@@ -242,10 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

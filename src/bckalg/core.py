@@ -48,13 +48,24 @@ class CayleyTable:
         return len(self.entries)
 
 
+# The constants each kind must carry, designated first: zero for bck and mv, one for wajsberg.
+_REQUIRED = {
+    Kind.BCK: ("zero",),
+    Kind.WAJSBERG: ("unit", "complement", "zero"),
+    Kind.MV: ("zero", "complement", "unit"),
+}
+_WANTED = {"zero": "a designated zero", "unit": "a designated one", "complement": "an explicit complement row"}
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """A finite algebra: kind tag, named elements, one binary table, constants.
 
-    ``zero`` is always set. ``unit`` is the top/one where known (may be absent
-    for unbounded BCK algebras). ``complement`` stores the unary operation as
-    an index map; it is always present for Wajsberg and MV kinds.
+    The constructor checks the constants and nothing that depends on the
+    table. ``zero`` is always set. ``unit`` is the top/one where known (it may
+    be absent for unbounded BCK algebras). ``complement`` stores the unary
+    operation as an index map. Wajsberg and MV algebras carry both, with
+    zero = complement(one) (wajsberg) and one = complement(zero) (mv).
     """
 
     kind: Kind
@@ -65,22 +76,28 @@ class FiniteAlgebra:
     complement: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", Kind(self.kind))
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
         if self.complement is not None:
             object.__setattr__(self, "complement", tuple(self.complement))
+        c = self.complement
         n = self.table.order
         if len(self.names) != n:
             raise AlgebraError(f"{len(self.names)} names for a table of order {n}")
         if len(set(self.names)) != n:
             raise AlgebraError("element names must be pairwise distinct")
-        for label, idx in (("zero", self.zero), ("unit", self.unit)):
+        for label, idx in (("designated zero", self.zero), ("designated one", self.unit)):
             if idx is not None and (not isinstance(idx, int) or not 0 <= idx < n):
                 raise AlgebraError(f"{label} index {idx!r} out of range for order {n}")
-        if self.complement is not None:
-            if len(self.complement) != n:
-                raise AlgebraError("complement row must name every element")
-            if any(not isinstance(c, int) or not 0 <= c < n for c in self.complement):
-                raise AlgebraError("complement entry out of range")
+        if c is not None and (len(c) != n or any(not isinstance(v, int) or not 0 <= v < n for v in c)):
+            raise AlgebraError("complement row must map every element into the carrier")
+        for field in _REQUIRED[self.kind]:
+            if getattr(self, field) is None:
+                raise AlgebraError(f"{self.kind.value} algebra requires {_WANTED[field]}")
+        if self.kind is Kind.WAJSBERG and self.zero != c[self.unit]:
+            raise AlgebraError("wajsberg algebra requires zero to be complement(one)")
+        if self.kind is Kind.MV and self.unit != c[self.zero]:
+            raise AlgebraError("mv algebra requires one to be complement(zero)")
 
     @property
     def order(self) -> int:
@@ -96,6 +113,11 @@ class FiniteAlgebra:
             raise AlgebraError(f"unknown element name {name!r}") from None
 
 
+def _entry(row: Sequence[int] | None, i: int | None) -> int | None:
+    """row[i], or None when there is no such entry; FiniteAlgebra then names the fault."""
+    return row[i] if row is not None and isinstance(i, int) and 0 <= i < len(row) else None
+
+
 def new_algebra(
     kind: Kind | str,
     names: Iterable[str],
@@ -105,76 +127,47 @@ def new_algebra(
     one: int | None = None,
     complement: Sequence[int] | None = None,
 ) -> FiniteAlgebra:
-    """Validate and assemble a FiniteAlgebra. No axiom checking happens here.
+    """Derive the constants a kind leaves out, check the ones that depend on
+    the table, and assemble a FiniteAlgebra, which checks the constants
+    themselves. No axiom checking happens here.
 
-    Kind rules for the designated constants (all given as indices):
-
-    * ``bck``: zero required; one optional, but if given every x must satisfy
+    * ``bck``: one is optional, but if given every x must satisfy
       x*one = zero; an explicit complement must agree with the top's row when
       a top exists.
-    * ``wajsberg``: one required; zero is complement(one) when a complement is
-      given, else the unique element whose row is constantly one, which must
-      then be complement(one), i.e. one.zero = zero; the complement defaults
-      to the zero column and an explicit one must match.
-    * ``mv``: zero and complement required; one is derived as complement(zero).
+    * ``wajsberg``: zero is complement(one) when a complement is given, else
+      the unique element whose row is constantly one; the complement is the
+      zero column, and an explicit one must match it.
+    * ``mv``: one is derived as complement(zero).
     """
     kind = Kind(kind)
-    tab = table if isinstance(table, CayleyTable) else CayleyTable(tuple(tuple(r) for r in table))
-    n = tab.order
-    name_tuple = tuple(str(s) for s in names)
-    comp = tuple(complement) if complement is not None else None
-
-    def check_index(label: str, v: int | None) -> None:
-        if v is not None and (not isinstance(v, int) or not 0 <= v < n):
-            raise AlgebraError(f"designated {label} index {v!r} out of range for order {n}")
-
-    check_index("zero", zero)
-    check_index("one", one)
-    if comp is not None and (len(comp) != n or any(not isinstance(c, int) or not 0 <= c < n for c in comp)):
-        raise AlgebraError("complement row must map every element into the carrier")
-
-    if kind is Kind.BCK:
-        if zero is None:
-            raise AlgebraError("bck algebra requires a designated zero")
-        if one is not None and any(tab.entries[x][one] != zero for x in range(n)):
-            raise AlgebraError("designated one is not an upper bound of the derived order")
-        alg = FiniteAlgebra(kind, name_tuple, tab, zero, one, comp)
-        if comp is not None:
-            top = one if one is not None else order_relation(alg).top()
-            if top is not None and comp != tab.entries[top]:
-                raise AlgebraError("explicit complement disagrees with the derived one*x row")
-        return alg
-
-    if kind is Kind.WAJSBERG:
-        if one is None:
-            raise AlgebraError("wajsberg algebra requires a designated one")
-        if comp is not None:
-            derived_zero = comp[one]
-        else:
-            constant_rows = [z for z in range(n) if all(v == one for v in tab.entries[z])]
+    tab = table if isinstance(table, CayleyTable) else CayleyTable(table)
+    t = tab.entries
+    if kind is Kind.WAJSBERG and one in range(len(t)):
+        if complement is None:
+            constant_rows = [z for z, row in enumerate(t) if all(v == one for v in row)]
             if len(constant_rows) != 1:
                 raise AlgebraError(
                     "cannot derive zero: need an explicit complement or exactly one row constantly equal to one"
                 )
-            derived_zero = constant_rows[0]
-            if tab.entries[one][derived_zero] != derived_zero:
-                raise AlgebraError(f"derived zero {derived_zero} is not complement(one): one.zero is not zero")
-        if zero is not None and zero != derived_zero:
-            raise AlgebraError("designated zero disagrees with the derived zero")
-        derived_comp = tuple(tab.entries[x][derived_zero] for x in range(n))
-        if comp is not None and comp != derived_comp:
-            raise AlgebraError("explicit complement disagrees with the derived x*zero column")
-        return FiniteAlgebra(kind, name_tuple, tab, derived_zero, one, derived_comp)
-
-    # MV: the unary operation is part of the signature and cannot be derived.
-    if zero is None:
-        raise AlgebraError("mv algebra requires a designated zero")
-    if comp is None:
-        raise AlgebraError("mv algebra requires an explicit complement row")
-    derived_one = comp[zero]
-    if one is not None and one != derived_one:
-        raise AlgebraError("designated one disagrees with complement(zero)")
-    return FiniteAlgebra(kind, name_tuple, tab, zero, derived_one, comp)
+            if zero not in (None, constant_rows[0]):
+                raise AlgebraError("designated zero disagrees with the derived zero")
+            zero = constant_rows[0]
+            complement = [row[zero] for row in t]
+        elif zero is None:
+            zero = _entry(complement, one)
+    if kind is Kind.MV and one is None:
+        one = _entry(complement, zero)
+    alg = FiniteAlgebra(kind, names, tab, zero, one, complement)
+    if kind is Kind.WAJSBERG and alg.complement != tuple(row[alg.zero] for row in t):
+        raise AlgebraError("explicit complement disagrees with the derived x*zero column")
+    if kind is Kind.BCK:
+        if one is not None and any(row[one] != zero for row in t):
+            raise AlgebraError("designated one is not an upper bound of the derived order")
+        if alg.complement is not None:
+            top = one if one is not None else order_relation(alg).top()
+            if top is not None and alg.complement != t[top]:
+                raise AlgebraError("explicit complement disagrees with the derived one*x row")
+    return alg
 
 
 @dataclass(frozen=True)
@@ -230,8 +223,6 @@ def bound_element(alg: FiniteAlgebra) -> int | None:
 def _complement_row(alg: FiniteAlgebra) -> tuple[int, ...]:
     if alg.complement is not None:
         return alg.complement
-    if alg.kind is not Kind.BCK:
-        raise AlgebraError("algebra carries no complement")
     top = alg.unit if alg.unit is not None else order_relation(alg).top()
     if top is None:
         raise AlgebraError("unbounded bck algebra has no complement")

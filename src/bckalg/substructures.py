@@ -46,10 +46,14 @@ def _close(t: Sequence[Sequence[int]], bits: int, fresh: Iterable[int]) -> int:
         row = t[m]
         done.append(m)
         for y in done:
-            for v in (row[y], t[y][m]):
-                if not bits >> v & 1:
-                    bits |= 1 << v
-                    queue.append(v)
+            v = row[y]
+            if not bits >> v & 1:
+                bits |= 1 << v
+                queue.append(v)
+            v = t[y][m]
+            if not bits >> v & 1:
+                bits |= 1 << v
+                queue.append(v)
     return bits
 
 

@@ -40,10 +40,8 @@ def _validated(alg: FiniteAlgebra, kind: Kind, caller: str) -> tuple[int, int, t
         if top is None:
             raise AlgebraError(f"{caller} requires a bounded algebra")
         return alg.zero, top, alg.table.entries[top]
-    if kind is Kind.WAJSBERG:
-        require(check_wajsberg(alg), alg, "wajsberg algebra")
-        return alg.complement[alg.unit], alg.unit, alg.complement
-    require(check_mv(alg), alg, "mv algebra")
+    checker = check_wajsberg if kind is Kind.WAJSBERG else check_mv
+    require(checker(alg), alg, f"{kind.value} algebra")
     return alg.zero, alg.unit, alg.complement
 
 

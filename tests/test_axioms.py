@@ -26,7 +26,6 @@ from bckalg import (
     Kind,
 )
 from bckalg import axioms
-from bckalg.golden import diagnose_wajsberg
 
 TWO_CHAIN = [[0, 0], [1, 0]]
 
@@ -130,12 +129,9 @@ def test_wajsberg_check_requires_signature(corpus):
 
 def test_wajsberg_check_rejects_a_zero_that_is_not_the_complement_of_one():
     c = lukasiewicz_chain(3)
-    alg = FiniteAlgebra(Kind.WAJSBERG, c.names, c.table, 1, 2, c.complement)
     assert c.complement[2] == 0
     with pytest.raises(AlgebraError, match="complement"):
-        check_wajsberg(alg)
-    with pytest.raises(AlgebraError, match="complement"):
-        diagnose_wajsberg(alg)
+        check_wajsberg(FiniteAlgebra(Kind.WAJSBERG, c.names, c.table, 1, 2, c.complement))
 
 
 def test_mv_check_rejects_a_unit_that_is_not_the_complement_of_zero():
@@ -143,6 +139,13 @@ def test_mv_check_rejects_a_unit_that_is_not_the_complement_of_zero():
     assert m.complement[m.zero] == 2
     with pytest.raises(AlgebraError, match="complement"):
         check_mv(FiniteAlgebra(Kind.MV, m.names, m.table, m.zero, 1, m.complement))
+
+
+def test_mv_check_requires_a_unit():
+    # an unbounded bck algebra may store a complement, but it has no one
+    a = new_algebra("bck", ["z", "p", "q"], [[0, 0, 0], [1, 0, 1], [2, 2, 0]], zero=0, complement=[2, 1, 0])
+    with pytest.raises(AlgebraError, match="requires a unit"):
+        check_mv(a)
 
 
 def test_morphism_identity(corpus):

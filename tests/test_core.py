@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from bckalg import (
     AlgebraError,
     CayleyTable,
+    FiniteAlgebra,
     Kind,
     bck_to_mv,
     bound_element,
@@ -13,6 +16,9 @@ from bckalg import (
     iseki_extension,
     lukasiewicz_chain,
     new_algebra,
+    parse_algebra,
+    render_algebra,
+    wajsberg_to_mv,
 )
 
 TWO_CHAIN = [[0, 0], [1, 0]]
@@ -181,3 +187,30 @@ def test_designated_one_must_be_a_bound(corpus):
     ref = corpus["ex3_1_bck"]
     with pytest.raises(AlgebraError):
         new_algebra("bck", ref.names, ref.table, zero=0, one=1)
+
+
+def test_finite_algebra_requires_a_zero():
+    with pytest.raises(AlgebraError, match="requires a designated zero"):
+        FiniteAlgebra(Kind.BCK, ("a", "b"), CayleyTable(TWO_CHAIN), None)
+
+
+@pytest.mark.parametrize(
+    "kind, field, key", [(Kind.WAJSBERG, "zero", "zero"), (Kind.MV, "unit", "one")], ids=["wajsberg", "mv"]
+)
+def test_inconsistent_constants_rejected_on_every_path(kind, field, key):
+    # e1 is neither complement(one) = e0 nor complement(zero) = e2
+    c = lukasiewicz_chain(3)
+    a = c if kind is Kind.WAJSBERG else wajsberg_to_mv(c)
+    constants = {"zero": a.zero, "one": a.unit, key: 1}
+    text = render_algebra(a).replace(f"{key}: {a.names[getattr(a, field)]}\n", f"{key}: e1\n")
+    assert text != render_algebra(a)
+    builds = [
+        lambda: FiniteAlgebra(kind, a.names, a.table, constants["zero"], constants["one"], a.complement),
+        lambda: FiniteAlgebra(kind.value, a.names, a.table, constants["zero"], constants["one"], a.complement),
+        lambda: dataclasses.replace(a, **{field: 1}),
+        lambda: new_algebra(kind, a.names, a.table, complement=a.complement, **constants),
+        lambda: parse_algebra(text),
+    ]
+    for build in builds:
+        with pytest.raises(AlgebraError, match="complement"):
+            build()

@@ -88,3 +88,36 @@ def test_golden_imports_nothing_from_enumeration():
     tree = ast.parse((MODULES[0].parent / "golden.py").read_text(encoding="utf-8"))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not {"enumeration", "bckalg.enumeration"} & imported
+
+
+def constant_lookups(source: str) -> list[str]:
+    """Each ``complement[...]`` indexed by a ``.unit`` or ``.zero`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Attribute):
+            base = node.value.attr if isinstance(node.value, ast.Attribute) else getattr(node.value, "id", None)
+            if base == "complement" and node.slice.attr in ("unit", "zero"):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("module", ["axioms", "transforms"])
+def test_constant_relations_are_left_to_the_type(module):
+    # FiniteAlgebra checks zero = complement(one) and one = complement(zero);
+    # the checkers and the translation driver read the stored constants
+    source = (MODULES[0].parent / f"{module}.py").read_text(encoding="utf-8")
+    assert constant_lookups(source) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("alg.complement[alg.unit]", True),
+        ("complement[a.zero]", True),
+        ("alg.complement[x]", False),
+        ("c[alg.unit]", False),
+        ("alg.complement[alg.order]", False),
+    ],
+)
+def test_constant_lookup_checker(source, flagged):
+    assert bool(constant_lookups(source)) is flagged
