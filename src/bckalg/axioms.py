@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Mapping, Sequence
 
-from .core import AlgebraError, FiniteAlgebra
+from .core import AlgebraError, FiniteAlgebra, Kind
 
 _TERMS = {
     "bci-1": "((x*y)*(x*z))*(z*y) = 0",
@@ -160,17 +160,17 @@ def check_mv(alg: FiniteAlgebra) -> VerificationReport:
     """Abelian-monoid laws plus double negation, top absorption and the two-variable
     distinguishing identity. The monoid laws are checked even though the signature
     presupposes them: a checker that trusts unstated laws would accept garbage tables.
-    The stored one is read as it is; FiniteAlgebra keeps it equal to zero'."""
-    if alg.unit is None or alg.complement is None:
-        raise AlgebraError("mv check requires a unit and a complement")
+    The stored one is read as it is; FiniteAlgebra keeps it equal to zero'. Other kinds are refused."""
+    if alg.kind is not Kind.MV:
+        raise AlgebraError("check_mv takes an mv algebra")
     return _report("mv", ("mv-assoc", "mv-comm", "mv-zero-identity", "mv-double-negation",
                          "mv-top-absorbing", "mv-lukasiewicz"), alg)
 
 
 def check_wajsberg(alg: FiniteAlgebra) -> VerificationReport:
-    """The identities never read zero; FiniteAlgebra keeps it equal to unit'."""
-    if alg.unit is None or alg.complement is None:
-        raise AlgebraError("wajsberg check requires a unit and a complement")
+    """Other kinds are refused. The identities never read zero; FiniteAlgebra keeps it equal to unit'."""
+    if alg.kind is not Kind.WAJSBERG:
+        raise AlgebraError("check_wajsberg takes a wajsberg algebra")
     return _report("wajsberg", ("wajsberg-1", "wajsberg-2", "wajsberg-3", "wajsberg-4"), alg)
 
 

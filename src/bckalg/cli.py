@@ -24,7 +24,7 @@ from .axioms import (
     require,
 )
 from .transforms import TRANSLATIONS, iseki_extension, wajsberg_to_bck
-from .enumeration import enumerate_wajsberg, factorizations, find_isomorphism, poset_isomorphic
+from .enumeration import enumerate_wajsberg, factorizations, find_isomorphism, order_isomorphism
 from .substructures import ideals, subalgebras
 from .algfile import fixture_dir, load_algebra, render_algebra, save_algebra
 from .golden import run_check_paper
@@ -43,13 +43,17 @@ class _InputError(Exception):
     pass
 
 
-def _load(path: str) -> FiniteAlgebra:
+def _load(path: str, kind: str | None = None) -> FiniteAlgebra:
+    """The algebra in a file, which must declare ``kind`` when one is given."""
     try:
-        return load_algebra(path)
+        alg = load_algebra(path)
     except OSError as exc:
         raise _InputError(str(exc)) from None
     except AlgebraError as exc:
         raise _InputError(f"{path}: {exc}") from None
+    if kind is not None and alg.kind.value != kind:
+        raise _InputError(f"{path} declares kind {alg.kind.value}, not {kind}")
+    return alg
 
 
 def _print_report(alg: FiniteAlgebra, report: VerificationReport) -> bool:
@@ -65,9 +69,7 @@ _CHECKERS = {Kind.BCK: check_bck, Kind.WAJSBERG: check_wajsberg, Kind.MV: check_
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    alg = _load(args.file)
-    if alg.kind.value != args.kind:
-        raise _InputError(f"{args.file} declares kind {alg.kind.value}, not {args.kind}")
+    alg = _load(args.file, args.kind)
     extras = [
         (args.commutative, is_commutative),
         (args.implicative, is_implicative),
@@ -82,20 +84,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-_CONVERSIONS = {pair: convert for pair, (convert, _) in TRANSLATIONS.items()}
-
-
 def _cmd_convert(args: argparse.Namespace) -> int:
-    alg = _load(args.file)
-    if args.source is not None and alg.kind.value != args.source:
-        raise _InputError(f"{args.file} declares kind {alg.kind.value}, not {args.source}")
+    alg = _load(args.file, args.source)
     to = Kind(args.to)
     try:
         if to is alg.kind:
             require(_CHECKERS[to](alg), alg, f"{to.value} algebra")
             converted = alg
         else:
-            converted = _CONVERSIONS[(alg.kind, to)](alg)
+            converted = TRANSLATIONS[(alg.kind, to)][0](alg)
     except AlgebraError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -165,19 +162,16 @@ def _cmd_sub(args: argparse.Namespace) -> int:
 def _cmd_iso(args: argparse.Namespace) -> int:
     a = _load(args.a)
     b = _load(args.b)
-    if args.poset:
-        if poset_isomorphic(a, b):
-            print("poset-isomorphic")
-            return 0
-        print("non-isomorphic")
-        return 1
     try:
-        mapping = find_isomorphism(a, b)
+        mapping = order_isomorphism(a, b) if args.poset else find_isomorphism(a, b)
     except AlgebraError as exc:
         raise _InputError(str(exc)) from None
     if mapping is None:
         print("non-isomorphic")
         return 1
+    if args.poset:
+        print("poset-isomorphic")
+        return 0
     for i, j in enumerate(mapping):
         print(f"{a.names[i]} -> {b.names[j]}")
     return 0

@@ -18,7 +18,7 @@ from itertools import product
 from math import prod
 
 from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_relation
-from .axioms import check_wajsberg, require
+from .axioms import check_morphism, check_wajsberg, require
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
         return True
 
     def verify(f: tuple[int, ...]) -> bool:
-        if any(f[ta[x][y]] != tb[f[x]][f[y]] for x in range(n) for y in range(n)):
+        if not check_morphism(f, a, b).passed:
             return False
         return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
 

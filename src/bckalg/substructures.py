@@ -31,12 +31,12 @@ def _elements(bits: int) -> list[int]:
     return [x for x in range(bits.bit_length()) if bits >> x & 1]
 
 
-def _close(t: Sequence[Sequence[int]], bits: int, fresh: Iterable[int]) -> int:
-    """The closure of the closed bitset ``bits`` with the elements ``fresh``.
-
-    Each new element m, taken in turn, is paired both ways with itself and
-    every element before it, so no pair of old elements is looked up."""
-    done = _elements(bits)
+def _close(t: Sequence[Sequence[int]], bits: int, members: list[int], fresh: Iterable[int]) -> int:
+    """The closure of the closed bitset ``bits``, listed in ``members``, with
+    the elements ``fresh``. Each new element m, taken in turn, is paired both
+    ways with itself and every element before it, so no pair of old elements
+    is looked up. ``members`` itself is left unchanged."""
+    done = members.copy()
     queue = []
     for m in fresh:
         if not bits >> m & 1:
@@ -59,7 +59,7 @@ def _close(t: Sequence[Sequence[int]], bits: int, fresh: Iterable[int]) -> int:
 
 def closure_of(alg: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
     """Smallest subset containing the seed and closed under the table."""
-    return frozenset(_elements(_close(alg.table.entries, 0, _members(alg, seed))))
+    return frozenset(_elements(_close(alg.table.entries, 0, [], _members(alg, seed))))
 
 
 def is_subalgebra(alg: FiniteAlgebra, members: Iterable[int]) -> bool:
@@ -85,14 +85,15 @@ def subalgebras(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset
     x*x = zero; on a table that fails the BCK axioms it still returns a list
     that looks plausible. Run ``check_bck`` first, as ``bckalg sub`` does."""
     t = alg.table.entries
-    found = {_close(t, 0, (alg.zero,))}
+    found = {_close(t, 0, [], (alg.zero,))}
     frontier = list(found)
     while frontier:
         fresh = []
         for base in frontier:
+            members = _elements(base)
             for x in range(alg.order):
                 if not base >> x & 1:
-                    grown = _close(t, base, (x,))
+                    grown = _close(t, base, members, (x,))
                     if grown not in found:
                         found.add(grown)
                         fresh.append(grown)

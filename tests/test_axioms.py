@@ -144,8 +144,22 @@ def test_mv_check_rejects_a_unit_that_is_not_the_complement_of_zero():
 def test_mv_check_requires_a_unit():
     # an unbounded bck algebra may store a complement, but it has no one
     a = new_algebra("bck", ["z", "p", "q"], [[0, 0, 0], [1, 0, 1], [2, 2, 0]], zero=0, complement=[2, 1, 0])
-    with pytest.raises(AlgebraError, match="requires a unit"):
+    with pytest.raises(AlgebraError, match="check_mv takes an mv algebra"):
         check_mv(a)
+
+
+def test_kind_checkers_refuse_other_kinds(corpus):
+    # a valid mv algebra and its bck source, given its complement, are no wajsberg
+    # algebras, and the bck one is no mv algebra: a failing report would mislead
+    b = corpus["ex3_1_bck"]
+    b = new_algebra("bck", b.names, b.table.entries, zero=b.zero, one=b.unit, complement=b.table.entries[b.unit])
+    m = bck_to_mv(b)
+    assert check_mv(m).passed
+    for alg in (m, b):
+        with pytest.raises(AlgebraError, match="^check_wajsberg takes a wajsberg algebra$"):
+            check_wajsberg(alg)
+    with pytest.raises(AlgebraError, match="^check_mv takes an mv algebra$"):
+        check_mv(b)
 
 
 def test_morphism_identity(corpus):

@@ -308,3 +308,36 @@ def test_check_paper_fails_unless_flags_match_known_misprints(
     assert rc == 1
     assert f"check-paper: flagged cells differ from the known misprints: {difference}" in out
     assert out.rstrip().endswith(f"check-paper: FAIL (7 examples, {flagged} flagged cell(s))")
+
+
+@pytest.mark.parametrize(
+    "fixture, old, new, fail_line, after",
+    [
+        # the stored difference table loses its designated one
+        (
+            "ex3_1_bck",
+            "\none: E\n",
+            "\n",
+            "ex3_1: bck axioms (stored): FAIL bound missing or not the designated one",
+            "ex3_1: subalgebras ",
+        ),
+        # an implication table whose derived order is no chain product ends its example
+        (
+            "ex3_1_wajsberg",
+            "\nE E E E\n",
+            "\nE O E E\n",
+            "ex3_1: wajsberg axioms: FAIL wajsberg-2 at (O,B,A); no order-matched reconstruction",
+            "ex3_2: wajsberg axioms: ",
+        ),
+    ],
+)
+def test_check_paper_prints_failing_verdicts(tmp_path, capsys, fixture, old, new, fail_line, after):
+    for p in fixture_dir().glob("*.alg"):
+        (tmp_path / p.name).write_text(p.read_text())
+    target = tmp_path / f"{fixture}.alg"
+    target.write_text(target.read_text().replace(old, new, 1))
+    rc = main(["check-paper", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[lines.index(fail_line) + 1].startswith(after)
+    assert lines[-1] == "check-paper: FAIL (7 examples, 3 flagged cell(s))"

@@ -1,6 +1,6 @@
 import random
 from functools import reduce
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +10,7 @@ from bckalg import (
     CayleyTable,
     Factorization,
     FiniteAlgebra,
+    Kind,
     check_bck,
     check_morphism,
     check_wajsberg,
@@ -288,6 +289,15 @@ def test_find_isomorphism_kind_and_order(corpus):
     with pytest.raises(AlgebraError):
         find_isomorphism(corpus["ex3_1_bck"], corpus["ex3_1_wajsberg"])
     assert find_isomorphism(corpus["ex3_1_bck"], corpus["ex3_3_bck"]) is None
+
+
+def test_find_isomorphism_checks_the_table_of_each_complete_map():
+    # the search reaches f = (0, 3, 1, 2) with every partial check passed,
+    # yet f(0*0) = f(1) = 3 while f(0) op f(0) = 0 op 0 = 1; no map is an isomorphism
+    a = FiniteAlgebra(Kind.BCK, "0123", CayleyTable([[1, 2, 2, 1], [0, 0, 0, 2], [1, 1, 2, 1], [2, 2, 1, 0]]), 0)
+    b = FiniteAlgebra(Kind.BCK, "0123", CayleyTable([[1, 1, 3, 3], [3, 1, 3, 3], [1, 3, 0, 1], [0, 0, 1, 0]]), 0)
+    assert not any(f[0] == 0 and check_morphism(f, a, b).passed for f in permutations(range(4)))
+    assert find_isomorphism(a, b) is None
 
 
 def test_isomorphic_algebras_share_check_profile(corpus):
