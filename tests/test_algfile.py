@@ -97,6 +97,11 @@ def test_missing_table_section():
         parse_algebra("kind: bck\norder: 1\nelements: t\nzero: t\n")
 
 
+def test_missing_elements_key():
+    with pytest.raises(ParseError, match="^missing required key 'elements'$"):
+        parse_algebra("kind: bck\norder: 1\nzero: t\ntable:\nt\n")
+
+
 def test_short_table():
     with pytest.raises(ParseError, match="table has"):
         parse_algebra("kind: bck\norder: 2\nelements: z a\nzero: z\ntable:\nz z\n")

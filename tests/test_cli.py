@@ -156,6 +156,12 @@ def test_enumerate_out_existing_file_is_input_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and str(target) in captured.err
 
 
+def test_enumerate_unwritable_file_is_input_error(tmp_path, capsys):
+    (tmp_path / "w4_4.alg").mkdir()
+    assert main(["enumerate", "--order", "4", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path / 'w4_4.alg'}'\n"
+
+
 def test_enumerate_rejects_small_order(capsys):
     assert main(["enumerate", "--order", "1"]) == 2
 

@@ -105,6 +105,22 @@ def test_bound_element(corpus):
     assert bound_element(trivial()) == 0
 
 
+def test_bound_element_needs_bck(corpus):
+    with pytest.raises(AlgebraError, match="^bound search is defined for bck algebras$"):
+        bound_element(corpus["ex3_1_wajsberg"])
+
+
+def test_complement_outside_carrier_rejected():
+    with pytest.raises(AlgebraError, match="^complement row must map every element into the carrier$"):
+        new_algebra("bck", ["O", "A"], TWO_CHAIN, zero=0, complement=[1, 7])
+
+
+def test_unknown_element_name(corpus):
+    assert corpus["ex3_1_bck"].index("A") == 1
+    with pytest.raises(AlgebraError, match="^unknown element name 'Q'$"):
+        corpus["ex3_1_bck"].index("Q")
+
+
 def test_bound_of_extension():
     two = new_algebra("bck", ["z", "a"], TWO_CHAIN, zero=0)
     assert bound_element(iseki_extension(two)) == 2

@@ -34,7 +34,7 @@ from bckalg import (
     wajsberg_to_mv,
 )
 from bckalg.enumeration import order_isomorphism
-from bckalg.golden import diagnose_wajsberg
+from bckalg.golden import cell_mismatches, diagnose_wajsberg
 
 AS_KIND = {Kind.WAJSBERG: lambda w: w, Kind.BCK: wajsberg_to_bck, Kind.MV: wajsberg_to_mv}
 
@@ -206,6 +206,11 @@ def test_diagnosis_rejects_other_kinds(corpus, kind):
     assert alg.complement is not None and alg.unit is not None
     with pytest.raises(AlgebraError, match="^diagnose_wajsberg takes a wajsberg algebra$"):
         diagnose_wajsberg(alg)
+
+
+def test_cell_mismatches_needs_one_carrier(corpus):
+    with pytest.raises(AlgebraError, match="^cannot compare tables over different carriers$"):
+        cell_mismatches(corpus["ex3_1_bck"], corpus["ex3_3_bck"])
 
 
 def _reference_profiles(entries):

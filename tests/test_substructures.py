@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -175,6 +176,27 @@ def test_induced_subalgebra_errors(corpus):
     a = corpus["ex3_1_bck"]
     with pytest.raises(AlgebraError):
         induced_subalgebra(a, {1, 2})
+    # {1} is closed here (1*1 = 1) but leaves out zero
+    idem = new_algebra("bck", ["z", "a", "b"], [[0, 0, 0], [1, 1, 0], [2, 2, 0]], zero=0)
+    with pytest.raises(AlgebraError, match="^subset does not contain zero$"):
+        induced_subalgebra(idem, [1])
+
+
+def test_ideals_never_hold_the_subalgebra_list():
+    # ideals filters closed sets as they are generated; a filter over the
+    # finished subalgebra list would need as much memory as subalgebras itself
+    alg = wajsberg_to_bck(enumerate_wajsberg(16)[-1])  # 2x2x2x2
+    tracemalloc.start()
+    try:
+        subs = len(subalgebras(alg))
+        sub_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert len(ideals(alg)) == 16
+        ideal_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert subs > 16
+    assert ideal_peak <= sub_peak / 4, (ideal_peak, sub_peak)
 
 
 OUT_OF_RANGE = [-1, 4, 7, 1.5, "A", None]
