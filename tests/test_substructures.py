@@ -1,13 +1,21 @@
+import math
+import random
 import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import bckalg.substructures as substructures
 from bckalg import (
     AlgebraError,
+    CayleyTable,
+    FiniteAlgebra,
+    Kind,
     check_bck,
     closure_of,
     enumerate_wajsberg,
+    factorizations,
     ideals,
     induced_subalgebra,
     is_ideal,
@@ -226,6 +234,98 @@ def test_is_ideal_rejects_members_out_of_range(corpus, bad):
 def test_induced_subalgebra_rejects_members_out_of_range(corpus, bad):
     with pytest.raises(AlgebraError):
         induced_subalgebra(corpus["ex3_1_bck"], [0, 3, bad])
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda a: closure_of(a, [True]), True),
+        (lambda a: is_subalgebra(a, [False, True]), False),
+        (lambda a: is_ideal(a, [0, True]), True),
+        (lambda a: induced_subalgebra(a, [0, 1, True]), True),
+    ],
+    ids=["closure_of", "is_subalgebra", "is_ideal", "induced_subalgebra"],
+)
+def test_bool_is_not_a_member_index(corpus, call, bad):
+    # False == 0 and True == 1, so closure_of(a, [True]) once returned {0, 1}
+    # and is_subalgebra(a, [False, True]) passed; in a set, [1, True] folds into {1}
+    with pytest.raises(AlgebraError, match=f"^member {bad} is not an element index for order 4$"):
+        call(corpus["ex3_1_bck"])
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2, 2), (3, 3, 3)])
+def test_closures_per_closed_set_stay_bounded(monkeypatch, factors):
+    # the natural numbering of a chain product is the worst case for walking
+    # the elements by index: 6.96 and 6.64 closures per closed set
+    n = math.prod(factors)
+    assert factorizations(n)[-1].factors == factors
+    alg = wajsberg_to_bck(enumerate_wajsberg(n)[-1])
+    calls = []
+    close = substructures._close
+
+    def counted(*args):
+        calls.append(None)
+        return close(*args)
+
+    monkeypatch.setattr(substructures, "_close", counted)
+    found = subalgebras(alg)
+    assert len(calls) <= 2.5 * len(found), (len(calls), len(found))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    cells=st.lists(st.integers(0, 80), min_size=81, max_size=81),
+    seed=st.lists(st.integers(0, 8), max_size=3),
+    fresh=st.lists(st.integers(0, 8), max_size=3),
+    stop=st.integers(0, 2**9 - 1),
+)
+def test_close_stops_exactly_when_the_closure_meets_stop(n, cells, seed, fresh, stop):
+    # any table, not only BCK ones: a closure is returned unless it adds an
+    # element of stop, and then -1 is
+    t = [[cells[x * 9 + y] % n for y in range(n)] for x in range(n)]
+    base = substructures._close(t, 0, [], [x % n for x in seed])
+    members = substructures._elements(base)
+    fresh = [x % n for x in fresh]
+    plain = substructures._close(t, base, members, fresh)
+    got = substructures._close(t, base, members, fresh, stop)
+    assert got == (-1 if plain & ~base & stop else plain)
+    assert members == substructures._elements(base)
+
+
+def _relabelled(alg, perm):
+    """The algebra with element x renamed perm[x], its table and zero moved along."""
+    inv = sorted(range(alg.order), key=perm.__getitem__)
+    rows = [[perm[alg.op(inv[x], inv[y])] for y in range(alg.order)] for x in range(alg.order)]
+    return FiniteAlgebra(Kind.BCK, [alg.names[i] for i in inv], CayleyTable(rows), perm[alg.zero])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    pick=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.none() | st.tuples(st.integers(0, 143), st.integers(0, 10)),
+)
+@example(n=12, pick=3, seed=0, cell=None)  # 2x2x3
+@example(n=8, pick=2, seed=5, cell=(9, 0))
+def test_substructures_follow_a_relabelling(n, pick, seed, cell):
+    # the walk order is read off the table, so renumbering the elements must
+    # move every list along and change nothing else, on corrupted tables too
+    cands = enumerate_wajsberg(n)
+    base = wajsberg_to_bck(cands[pick % len(cands)])
+    rows = [list(r) for r in base.table.entries]
+    if cell is not None:
+        x, y = divmod(cell[0] % (n * n), n)
+        rows[x][y] = (rows[x][y] + 1 + cell[1] % (n - 1)) % n
+    alg = FiniteAlgebra(Kind.BCK, base.names, CayleyTable(rows), base.zero)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    moved = _relabelled(alg, perm)
+    for family in (subalgebras, ideals):
+        for proper in (False, True):
+            expected = sorted((frozenset(perm[x] for x in s) for s in family(alg, proper)), key=lambda s: (len(s), sorted(s)))
+            assert family(moved, proper) == expected
 
 
 def test_induced_subalgebra_relabels(corpus):
