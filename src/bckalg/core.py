@@ -191,19 +191,29 @@ class OrderRelation:
         return None
 
 
-def order_relation(alg: FiniteAlgebra) -> OrderRelation:
-    """x <= y read straight off the table by kind: x*y = 0 (bck), x.y = 1
-    (wajsberg), x' + y = 1 (mv). No axiom validation, so this also works on
-    defective tables under diagnosis."""
+def _order_rows(alg: FiniteAlgebra) -> tuple[Sequence[Sequence[int]], int]:
+    """(rows, mark) with x <= y iff rows[x][y] == mark; for mv, row x is the row of x'."""
     t = alg.table.entries
     if alg.kind is Kind.BCK:
-        z = alg.zero
-        return OrderRelation(tuple(tuple(v == z for v in row) for row in t))
-    one = alg.unit
+        return t, alg.zero
     if alg.kind is Kind.WAJSBERG:
-        return OrderRelation(tuple(tuple(v == one for v in row) for row in t))
-    c = alg.complement
-    return OrderRelation(tuple(tuple(v == one for v in t[cx]) for cx in c))
+        return t, alg.unit
+    return [t[cx] for cx in alg.complement], alg.unit
+
+
+def order_relation(alg: FiniteAlgebra) -> OrderRelation:
+    """The derived order: x <= y iff x*y = 0 (bck), x.y = 1 (wajsberg),
+    x' + y = 1 (mv). No axiom validation, so this also works on defective
+    tables under diagnosis."""
+    rows, mark = _order_rows(alg)
+    return OrderRelation(tuple(tuple(v == mark for v in row) for row in rows))
+
+
+def order_degrees(alg: FiniteAlgebra) -> list[tuple[int, int]]:
+    """(|down-set|, |up-set|) of each element in the order of ``order_relation``,
+    counted in the table without building the relation."""
+    rows, mark = _order_rows(alg)
+    return [(col.count(mark), row.count(mark)) for col, row in zip(zip(*rows), rows)]
 
 
 def derived_order(alg: FiniteAlgebra) -> OrderRelation:

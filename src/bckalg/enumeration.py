@@ -6,9 +6,12 @@ ordered chains with those sizes, built by mixed-radix index arithmetic.
 Algebra and order isomorphism share one backtracking search,
 ``_bijections``, that matches elements by an invariant (table occurrence
 profiles, derived-order degrees), places the scarcest first and prunes
-against what is placed; ``find_isomorphism`` returns None before building
-profiles when the two tables' sorted occurrence counts differ. n stays
-small, so nothing fancier is warranted.
+against what is placed. Each search first rejects on invariants counted
+with ``tuple.count``: ``order_isomorphism`` compares the sorted degrees of
+``core.order_degrees`` before it builds either order matrix, and
+``find_isomorphism`` compares how often each constant occurs in the two
+tables, then their sorted occurrence counts, before it builds profiles.
+n stays small, so nothing fancier is warranted.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_relation
+from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_degrees, order_relation
 from .axioms import check_morphism, check_wajsberg, require
 
 
@@ -219,6 +222,11 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
             return False
         return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
 
+    # an isomorphism fixes the constants, so each occurs equally often in both
+    # tables; the one goes first, since in a valid wajsberg or mv table
+    # x.y = 0 or x + y = 0 holds at one cell only
+    if any(sum(r.count(x) for r in ta) != sum(r.count(y) for r in tb) for x, y in reversed(fixed)):
+        return None
     occ_a, occ_b = _occurrence_counts(ta), _occurrence_counts(tb)
     if sorted(occ_a) != sorted(occ_b):
         return None
@@ -232,10 +240,10 @@ def order_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | N
     n = a.order
     if b.order != n:
         return None
+    da, db = order_degrees(a), order_degrees(b)
+    if sorted(da) != sorted(db):
+        return None
     la, lb = order_relation(a).leq, order_relation(b).leq
-
-    def profile(leq):
-        return [(sum(col), sum(row)) for col, row in zip(zip(*leq), leq)]
 
     def fits(f: list[int], x: int) -> bool:
         y = f[x]
@@ -244,7 +252,7 @@ def order_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | N
             for u in range(n)
         )
 
-    return next(_bijections(profile(la), profile(lb), (), fits), None)
+    return next(_bijections(da, db, (), fits), None)
 
 
 def poset_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:

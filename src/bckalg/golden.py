@@ -139,8 +139,16 @@ def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     if found is None or any(found[1][alg.zero]) or found[1][alg.unit] != found[0]:
         return Diagnosis(None, (), report)
     tops, coords = found
-    element = {c: x for x, c in enumerate(coords)}
-    rows = [[element[tuple(min(t, t - a + b) for t, a, b in zip(tops, cx, cy))] for cy in coords] for cx in coords]
+    # the chain product on mixed-radix indices, each chain folded in by u*k + v
+    # as in a direct product, then read back onto the carrier in one pass
+    table, index = [[0]], [0] * alg.order
+    for i, t in enumerate(tops):
+        k = t + 1
+        chain = [[min(t, t - a + b) for b in range(k)] for a in range(k)]
+        table = [[u * k + v for u in ra for v in rb] for ra in table for rb in chain]
+        index = [u * k + c[i] for u, c in zip(index, coords)]
+    element = sorted(range(alg.order), key=index.__getitem__)
+    rows = [[element[r[j]] for j in index] for r in (table[i] for i in index)]
     corrected = new_algebra(Kind.WAJSBERG, alg.names, rows, one=alg.unit)
     return Diagnosis(corrected, cell_mismatches(alg, corrected), report)
 

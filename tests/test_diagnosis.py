@@ -6,7 +6,9 @@ relabels every order-matched chain product along *every* order isomorphism
 of the derived orders and keeps the relabelling that deviates from the
 stored table in the fewest cells. ``diagnose_wajsberg`` must agree with it
 on randomly relabelled chain products with one corrupted cell, both when a
-reconstruction exists and when none does.
+reconstruction exists and when none does. Past the orders that reference
+can search, a one-cell corruption of each classify benchmark product (order
+24 to 64) must diagnose back to the uncorrupted table.
 
 The other two references are separate backtracking searches for algebra
 and order isomorphisms, sharing no code with ``bckalg.enumeration``.
@@ -17,6 +19,7 @@ of all three kinds, clean or with one corrupted cell.
 
 import dataclasses
 import random
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,10 +27,12 @@ from hypothesis import example, given, settings, strategies as st
 from bckalg import (
     AlgebraError,
     CayleyTable,
+    Factorization,
     FiniteAlgebra,
     Kind,
     check_wajsberg,
     enumerate_wajsberg,
+    factorizations,
     find_isomorphism,
     new_algebra,
     wajsberg_to_bck,
@@ -177,6 +182,30 @@ def test_pinned_examples_cover_both_outcomes():
     undiagnosable = corrupted_chain_product(16, 4, 0, 0, 0)
     assert reference_diagnosis(diagnosable)[1] is not None
     assert reference_diagnosis(undiagnosable)[1] is None
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (4, 4, 4), (2, 4, 8), (2, 3, 4), (3, 3, 4), (5, 8)],
+    ids=lambda fs: "x".join(map(str, fs)),
+)
+def test_diagnosis_restores_one_corrupted_cell_beyond_the_reference(factors):
+    # too large for the exhaustive reference; chains of unequal length make
+    # the rebuild's mixed-radix order matter
+    n = prod(factors)
+    clean = relabelled_chain_product(Kind.WAJSBERG, n, factorizations(n).index(Factorization(n, factors)), seed=n)
+    t, one = clean.table.entries, clean.unit
+    rng = random.Random(n)
+    # a cell off the unit changed to another value off it: the derived order is kept
+    x, y = rng.choice([(x, y) for x in range(n) for y in range(n) if t[x][y] != one])
+    new = rng.choice([v for v in range(n) if v not in (one, t[x][y])])
+    rows = [list(row) for row in t]
+    rows[x][y] = new
+    diag = diagnose_wajsberg(dataclasses.replace(clean, table=CayleyTable(rows)))
+    assert not diag.report.passed
+    assert diag.corrected == clean
+    nm = clean.names
+    assert [(c.row, c.col, c.stored, c.expected) for c in diag.cells] == [(nm[x], nm[y], nm[new], nm[t[x][y]])]
 
 
 @pytest.mark.parametrize(

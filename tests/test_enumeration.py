@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from functools import reduce
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bckalg import (
     AlgebraError,
@@ -28,6 +29,8 @@ from bckalg import (
     wajsberg_to_mv,
 )
 from bckalg import axioms, enumeration, golden
+from bckalg.core import order_degrees
+from bckalg.enumeration import order_isomorphism
 
 
 def test_factorizations_of_4():
@@ -258,6 +261,40 @@ def test_find_isomorphism_rejects_candidates_on_occurrence_counts(monkeypatch):
             assert f is not None and check_morphism(f, a, a).passed
 
 
+def constant_count(alg, constant):
+    return sum(row.count(constant) for row in alg.table.entries)
+
+
+def test_find_isomorphism_rejects_candidates_on_constant_counts(monkeypatch):
+    # x.y = 1 once per pair x <= y (x*y = 0 under bck), and no two chain
+    # products of one order have equally many comparable pairs
+    def refuse(*args, **kwargs):
+        raise AssertionError("occurrence counts computed for tables whose constants occur unequally often")
+
+    wajsberg = {n: enumerate_wajsberg(n) for n in range(2, 65)}
+    bck = {n: [wajsberg_to_bck(a) for a in algs] for n, algs in wajsberg.items() if n <= 32}
+    unbounded = {n: [dataclasses.replace(a, unit=None) for a in algs] for n, algs in bck.items()}
+    a, b = wajsberg[8][0], wajsberg[8][2]
+    assert (constant_count(a, a.unit), constant_count(b, b.unit)) == (36, 27)
+    monkeypatch.setattr(enumeration, "_occurrence_counts", refuse)
+    pairs = 0
+    for candidates in (wajsberg, unbounded):
+        for algs in candidates.values():
+            for i, a in enumerate(algs):
+                for j, b in enumerate(algs):
+                    if i != j:
+                        assert find_isomorphism(a, b) is None
+                        pairs += 1
+    assert pairs == 858 + 204
+    a, b = unbounded[8][0], unbounded[8][2]
+    assert b.unit is None and (constant_count(a, a.zero), constant_count(b, b.zero)) == (36, 27)
+    monkeypatch.undo()
+    for algs in bck.values():
+        for a in algs:
+            b = dataclasses.replace(relabelled(a, seed=a.order), unit=None)
+            assert find_isomorphism(dataclasses.replace(a, unit=None), b) is not None
+
+
 def test_find_isomorphism_self_map(corpus):
     a = corpus["ex3_5_bck"]
     f = find_isomorphism(a, a)
@@ -325,6 +362,72 @@ def test_enumerated_posets_pairwise_distinct():
         for i in range(len(algs)):
             for j in range(i + 1, len(algs)):
                 assert not poset_isomorphic(algs[i], algs[j])
+
+
+def test_poset_isomorphic_rejects_candidates_on_degree_counts(monkeypatch):
+    # the sorted (down-set, up-set) sizes already tell these orders apart,
+    # so no order matrix is built for a candidate that does not match
+    def refuse(*args, **kwargs):
+        raise AssertionError("order relation built for orders whose degree counts differ")
+
+    candidates = {n: enumerate_wajsberg(n) for n in (24, 32, 36, 40, 64)}
+    monkeypatch.setattr(enumeration, "order_relation", refuse)
+    for algs in candidates.values():
+        for i, a in enumerate(algs):
+            for j, b in enumerate(algs):
+                if i != j:
+                    assert not poset_isomorphic(a, b)
+    monkeypatch.undo()
+    for algs in candidates.values():
+        for a in algs:
+            assert poset_isomorphic(a, relabelled(a, seed=a.order))
+
+
+def reference_leq(alg):
+    """The derived order as a bool matrix, built cell by cell from the table."""
+    t, n = alg.table.entries, alg.order
+    if alg.kind is Kind.BCK:
+        return tuple(tuple(t[x][y] == alg.zero for y in range(n)) for x in range(n))
+    rows = t if alg.kind is Kind.WAJSBERG else [t[cx] for cx in alg.complement]
+    return tuple(tuple(row[y] == alg.unit for y in range(n)) for row in rows)
+
+
+def profile_order_isomorphism(a, b):
+    """The order-isomorphism search as it was before degree counts: both
+    order matrices built first, each element's invariant summed over them."""
+    n = a.order
+    if b.order != n:
+        return None
+    la, lb = reference_leq(a), reference_leq(b)
+
+    def profile(leq):
+        return [(sum(col), sum(row)) for col, row in zip(zip(*leq), leq)]
+
+    def fits(f, x):
+        y = f[x]
+        return all(
+            u == x or f[u] == -1 or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
+            for u in range(n)
+        )
+
+    return next(enumeration._bijections(profile(la), profile(lb), (), fits), None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    read=st.sampled_from([lambda w: w, wajsberg_to_bck, wajsberg_to_mv]),
+    n=st.sampled_from([24, 32, 36, 40, 64]),
+    pick=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_order_isomorphism_matches_profile_search(read, n, pick, seed):
+    candidates = [read(c) for c in enumerate_wajsberg(n)]
+    query = relabelled(candidates[pick % len(candidates)], seed)
+    leq = reference_leq(query)
+    assert order_degrees(query) == [(sum(col), sum(row)) for col, row in zip(zip(*leq), leq)]
+    for c in candidates:
+        for a, b in ((c, query), (query, c)):
+            assert order_isomorphism(a, b) == profile_order_isomorphism(a, b)
 
 
 def relabelled(alg, seed):
