@@ -3,12 +3,19 @@
 Elements are dense integer indices 0..n-1; display names ride along and
 matter only for I/O. The table convention is row = left operand:
 ``table.entries[x][y]`` is the value of ``x op y``.
+
+An algebra object is immutable, so the two O(n) isomorphism invariants
+the searches compare, ``order_degrees`` and ``occurrence_counts``, are
+counted once per object, on first use, and kept as tuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -66,6 +73,9 @@ class FiniteAlgebra:
     be absent for unbounded BCK algebras). ``complement`` stores the unary
     operation as an index map. Wajsberg and MV algebras carry both, with
     zero = complement(one) (wajsberg) and one = complement(zero) (mv).
+    Two O(n) isomorphism invariants, ``order_degrees`` and
+    ``occurrence_counts``, are counted on first use and kept as tuples on
+    the object, which is immutable.
     """
 
     kind: Kind
@@ -102,6 +112,15 @@ class FiniteAlgebra:
     @property
     def order(self) -> int:
         return self.table.order
+
+    @cached_property
+    def _degrees(self) -> tuple[tuple[int, int], ...]:
+        rows, mark = _order_rows(self)
+        return tuple((col.count(mark), row.count(mark)) for col, row in zip(zip(*rows), rows))
+
+    @cached_property
+    def _occurrences(self) -> tuple[int, ...]:
+        return _count_occurrences(self.table.entries)
 
     def op(self, x: int, y: int) -> int:
         return self.table.entries[x][y]
@@ -209,11 +228,20 @@ def order_relation(alg: FiniteAlgebra) -> OrderRelation:
     return OrderRelation(tuple(tuple(v == mark for v in row) for row in rows))
 
 
-def order_degrees(alg: FiniteAlgebra) -> list[tuple[int, int]]:
+def order_degrees(alg: FiniteAlgebra) -> tuple[tuple[int, int], ...]:
     """(|down-set|, |up-set|) of each element in the order of ``order_relation``,
-    counted in the table without building the relation."""
-    rows, mark = _order_rows(alg)
-    return [(col.count(mark), row.count(mark)) for col, row in zip(zip(*rows), rows)]
+    counted in the table without building the relation, once per algebra object."""
+    return alg._degrees
+
+
+def _count_occurrences(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    counts = Counter(chain.from_iterable(entries))
+    return tuple(counts[x] for x in range(len(entries)))
+
+
+def occurrence_counts(alg: FiniteAlgebra) -> tuple[int, ...]:
+    """How often each element occurs in the table, counted once per algebra object."""
+    return alg._occurrences
 
 
 def derived_order(alg: FiniteAlgebra) -> OrderRelation:

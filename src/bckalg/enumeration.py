@@ -2,16 +2,18 @@
 
 One algebra is produced per unordered factorization of n into factors >= 2
 (the single-factor decomposition included): the direct product of totally
-ordered chains with those sizes, built by mixed-radix index arithmetic.
+ordered chains with those sizes, built by mixed-radix index arithmetic from
+one chain per distinct size.
 Algebra and order isomorphism share one backtracking search,
 ``_bijections``, that matches elements by an invariant (table occurrence
 profiles, derived-order degrees), places the scarcest first and prunes
-against what is placed. Each search first rejects on invariants counted
-with ``tuple.count``: ``order_isomorphism`` compares the sorted degrees of
-``core.order_degrees`` before it builds either order matrix, and
-``find_isomorphism`` compares how often each constant occurs in the two
-tables, then their sorted occurrence counts, before it builds profiles.
-n stays small, so nothing fancier is warranted.
+against what is placed. Each search first rejects on invariants that
+``core`` counts once per algebra object: ``order_isomorphism`` compares the
+sorted ``order_degrees`` before it builds either order matrix, and
+``find_isomorphism`` compares the sorted degrees, then how often each
+constant occurs in the two tables, then the sorted ``occurrence_counts``,
+and only then builds profiles. n stays small, so nothing fancier is
+warranted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_degrees, order_relation
+from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, occurrence_counts, order_degrees, order_relation
 from .axioms import check_morphism, check_wajsberg, require
 
 
@@ -73,7 +75,7 @@ def lukasiewicz_chain(n: int) -> FiniteAlgebra:
     if n < 2:
         raise AlgebraError("a chain needs at least 2 elements")
     top = n - 1
-    rows = [[min(top, top - i + j) for j in range(n)] for i in range(n)]
+    rows = [tuple(range(top - i, top)) + (top,) * (n - i) for i in range(n)]
     comp = [top - i for i in range(n)]
     names = [f"e{i}" for i in range(n)]
     return new_algebra(Kind.WAJSBERG, names, rows, one=top, complement=comp)
@@ -122,50 +124,43 @@ def enumerate_wajsberg(n: int) -> list[FiniteAlgebra]:
     confirm it with ``check_wajsberg``)."""
     if n < 2:
         raise AlgebraError("enumeration needs n >= 2")
-    return [
-        _product([lukasiewicz_chain(r) for r in f.factors])
-        for f in factorizations(n)
-    ]
+    found = factorizations(n)
+    chains = {r: lukasiewicz_chain(r) for r in {r for f in found for r in f.factors}}
+    return [_product([chains[r] for r in f.factors]) for f in found]
 
 
-def _occurrence_counts(entries: tuple[tuple[int, ...], ...]) -> list[int]:
-    occ = [0] * len(entries)
-    for row in entries:
-        for v in row:
-            occ[v] += 1
-    return occ
-
-
-def _occurrence_profiles(entries: tuple[tuple[int, ...], ...], occ: list[int]) -> list[tuple]:
-    n = len(entries)
-    return [
-        (
-            occ[x],
-            occ[entries[x][x]],
-            tuple(sorted(occ[v] for v in entries[x])),
-            tuple(sorted(occ[entries[r][x]] for r in range(n))),
-        )
-        for x in range(n)
-    ]
+def _occurrence_profiles(entries: tuple[tuple[int, ...], ...], occ: tuple[int, ...]) -> list[tuple]:
+    count = occ.__getitem__
+    return list(zip(
+        occ,
+        (count(row[x]) for x, row in enumerate(entries)),
+        (tuple(sorted(map(count, row))) for row in entries),
+        (tuple(sorted(map(count, col))) for col in zip(*entries)),
+    ))
 
 
 def _bijections(pa: list, pb: list, fixed, fits):
     """Yield, as index tuples, every bijection f with pb[f[x]] == pa[x] for
-    each x that extends the fixed (x, f(x)) pairs and passes fits(f, x) each
-    time a free element x is placed (f holds -1 where nothing is placed yet).
-    Free elements go fewest candidates first, ties and candidates by index."""
-    if sorted(pa) != sorted(pb):
-        return
+    each x that extends the fixed (x, f(x)) pairs and passes
+    fits(f, x, placed) each time a free element x is placed (f holds -1
+    where nothing is placed yet; placed lists the placed elements, x last).
+    Free elements go fewest candidates first, ties and candidates by index.
+    The caller has checked that pa and pb are equal as multisets."""
     n = len(pa)
     f = [-1] * n
     used = [False] * n
+    placed = []
     for x, y in fixed:
         if f[x] == -1 and pa[x] == pb[y] and not used[y]:
             f[x] = y
             used[y] = True
+            placed.append(x)
         elif f[x] != y:
             return
-    candidates = {x: [y for y in range(n) if pb[y] == pa[x]] for x in range(n) if f[x] == -1}
+    where = {}
+    for y, p in enumerate(pb):
+        where.setdefault(p, []).append(y)
+    candidates = {x: where[pa[x]] for x in range(n) if f[x] == -1}
     order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
 
     def place(pos: int):
@@ -173,15 +168,17 @@ def _bijections(pa: list, pb: list, fixed, fits):
             yield tuple(f)
             return
         x = order[pos]
+        placed.append(x)
         for y in candidates[x]:
             if used[y]:
                 continue
             f[x] = y
             used[y] = True
-            if fits(f, x):
+            if fits(f, x, placed):
                 yield from place(pos + 1)
             f[x] = -1
             used[y] = False
+        placed.pop()
 
     yield from place(0)
 
@@ -202,18 +199,22 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
     ca, cb = a.complement, b.complement
     fixed = [(a.zero, b.zero)] if a.unit is None else [(a.zero, b.zero), (a.unit, b.unit)]
 
-    def consistent(f: list[int], x: int) -> bool:
-        assigned = [u for u in range(n) if f[u] != -1]
-        for u in assigned:
-            for p, q in ((x, u), (u, x)):
-                r = ta[p][q]
-                if f[r] != -1 and tb[f[p]][f[q]] != f[r]:
-                    return False
-        if match_complement:
-            if f[ca[x]] != -1 and cb[f[x]] != f[ca[x]]:
+    def consistent(f: list[int], x: int, placed: list[int]) -> bool:
+        y = f[x]
+        rx, ry = ta[x], tb[y]
+        for u in placed:
+            v = f[u]
+            r = f[rx[u]]
+            if r != -1 and ry[v] != r:
                 return False
-            for u in assigned:
-                if ca[u] == x and cb[f[u]] != f[x]:
+            r = f[ta[u][x]]
+            if r != -1 and tb[v][y] != r:
+                return False
+        if match_complement:
+            if f[ca[x]] != -1 and cb[y] != f[ca[x]]:
+                return False
+            for u in placed:
+                if ca[u] == x and cb[f[u]] != y:
                     return False
         return True
 
@@ -222,16 +223,18 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
             return False
         return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
 
-    # an isomorphism fixes the constants, so each occurs equally often in both
-    # tables; the one goes first, since in a valid wajsberg or mv table
-    # x.y = 0 or x + y = 0 holds at one cell only
-    if any(sum(r.count(x) for r in ta) != sum(r.count(y) for r in tb) for x, y in reversed(fixed)):
+    # an isomorphism preserves the table, the constants and the complement,
+    # so it preserves the derived order, and each constant and each element
+    # occurs equally often in both tables
+    if sorted(order_degrees(a)) != sorted(order_degrees(b)):
         return None
-    occ_a, occ_b = _occurrence_counts(ta), _occurrence_counts(tb)
-    if sorted(occ_a) != sorted(occ_b):
+    occ_a, occ_b = occurrence_counts(a), occurrence_counts(b)
+    if any(occ_a[x] != occ_b[y] for x, y in fixed) or sorted(occ_a) != sorted(occ_b):
         return None
-    found = _bijections(_occurrence_profiles(ta, occ_a), _occurrence_profiles(tb, occ_b), fixed, consistent)
-    return next((f for f in found if verify(f)), None)
+    pa, pb = _occurrence_profiles(ta, occ_a), _occurrence_profiles(tb, occ_b)
+    if sorted(pa) != sorted(pb):
+        return None
+    return next((f for f in _bijections(pa, pb, fixed, consistent) if verify(f)), None)
 
 
 def order_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:
@@ -245,11 +248,11 @@ def order_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | N
         return None
     la, lb = order_relation(a).leq, order_relation(b).leq
 
-    def fits(f: list[int], x: int) -> bool:
+    def fits(f: list[int], x: int, placed: list[int]) -> bool:
         y = f[x]
         return all(
-            u == x or f[u] == -1 or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
-            for u in range(n)
+            u == x or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
+            for u in placed
         )
 
     return next(_bijections(da, db, (), fits), None)

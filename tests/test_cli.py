@@ -1,3 +1,4 @@
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,61 @@ def test_enumerate_bck_kind(tmp_path, capsys):
     assert main(["enumerate", "--order", "4", "--kind", "bck", "--out", str(tmp_path)]) == 0
     names = sorted(p.name for p in tmp_path.glob("*.alg"))
     assert names == ["bck4_2x2.alg", "bck4_4.alg"]
+
+
+def expected_enumerate_files(n, kind):
+    """{file name: text} that ``enumerate --order n --kind kind --out D``
+    writes, rendered here from the chain formulas, sharing no code with the
+    enumeration: element (x1, ..., xk) of the product of chains of sizes
+    r1 <= ... <= rk sits at mixed-radix index ((x1*r2 + x2)*r3 + ...) and
+    is named "(ex1,...,exk)" ("ex1" for one chain); with ti = ri - 1, the
+    wajsberg op is min(ti, ti - xi + yi), the bck op max(0, xi - yi) and
+    the complement ti - xi, all componentwise."""
+
+    def splits(m, least):
+        if m == 1:
+            return [()]
+        return [(f, *rest) for f in range(least, m + 1) if m % f == 0 for rest in splits(m // f, f)]
+
+    files = {}
+    for sizes in sorted(splits(n, 2), key=lambda fs: (len(fs), fs)):
+        elements = list(product(*(range(r) for r in sizes)))
+        index = {x: i for i, x in enumerate(elements)}
+        tops = tuple(r - 1 for r in sizes)
+        if len(sizes) == 1:
+            names = [f"e{x[0]}" for x in elements]
+        else:
+            names = ["(" + ",".join(f"e{v}" for v in x) + ")" for x in elements]
+        if kind == "wajsberg":
+            cell = lambda t, a, b: min(t, t - a + b)
+        else:
+            cell = lambda t, a, b: max(0, a - b)
+        lines = [
+            f"kind: {kind}",
+            f"order: {n}",
+            "elements: " + " ".join(names),
+            f"zero: {names[index[(0,) * len(sizes)]]}",
+            f"one: {names[index[tops]]}",
+            "complement: " + " ".join(names[index[tuple(t - v for t, v in zip(tops, x))]] for x in elements),
+            "table:",
+        ]
+        for x in elements:
+            row = (index[tuple(cell(t, a, b) for t, a, b in zip(tops, x, y))] for y in elements)
+            lines.append(" ".join(names[v] for v in row))
+        prefix = "w" if kind == "wajsberg" else "bck"
+        files[f"{prefix}{n}_{'x'.join(map(str, sizes))}.alg"] = "\n".join(lines) + "\n"
+    return files
+
+
+@pytest.mark.parametrize("n, kind", [(24, "wajsberg"), (64, "wajsberg"), (24, "bck")])
+def test_enumerate_output_is_pinned(tmp_path, capsys, n, kind):
+    expected = expected_enumerate_files(n, kind)
+    assert main(["enumerate", "--order", str(n), "--kind", kind, "--out", str(tmp_path)]) == 0
+    written = "".join(f"wrote {tmp_path / name}\n" for name in expected)
+    assert capsys.readouterr().out == f"pi_{n} = {len(expected)}\n" + written
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode()
 
 
 def test_enumerate_out_existing_file_is_input_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ from functools import reduce
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bckalg import (
     AlgebraError,
@@ -28,8 +28,8 @@ from bckalg import (
     wajsberg_to_bck,
     wajsberg_to_mv,
 )
-from bckalg import axioms, enumeration, golden
-from bckalg.core import order_degrees
+from bckalg import axioms, core, enumeration, golden
+from bckalg.core import occurrence_counts, order_degrees
 from bckalg.enumeration import order_isomorphism
 
 
@@ -255,10 +255,26 @@ def test_find_isomorphism_rejects_candidates_on_occurrence_counts(monkeypatch):
                     pairs += 1
     assert pairs == 858
     monkeypatch.undo()
+    built = counting(monkeypatch, enumeration, "_occurrence_profiles")
     for algs in candidates.values():
         for a in algs:
             f = find_isomorphism(a, a)
             assert f is not None and check_morphism(f, a, a).passed
+    # the guard above is not vacuous: isomorphic pairs do reach the profiles
+    assert len(built) == 2 * sum(map(len, candidates.values()))
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so that each call is recorded; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
 
 
 def constant_count(alg, constant):
@@ -268,6 +284,7 @@ def constant_count(alg, constant):
 def test_find_isomorphism_rejects_candidates_on_constant_counts(monkeypatch):
     # x.y = 1 once per pair x <= y (x*y = 0 under bck), and no two chain
     # products of one order have equally many comparable pairs
+    # (so the sorted derived-order degrees, compared first, differ as well)
     def refuse(*args, **kwargs):
         raise AssertionError("occurrence counts computed for tables whose constants occur unequally often")
 
@@ -276,7 +293,7 @@ def test_find_isomorphism_rejects_candidates_on_constant_counts(monkeypatch):
     unbounded = {n: [dataclasses.replace(a, unit=None) for a in algs] for n, algs in bck.items()}
     a, b = wajsberg[8][0], wajsberg[8][2]
     assert (constant_count(a, a.unit), constant_count(b, b.unit)) == (36, 27)
-    monkeypatch.setattr(enumeration, "_occurrence_counts", refuse)
+    monkeypatch.setattr(core, "_count_occurrences", refuse)
     pairs = 0
     for candidates in (wajsberg, unbounded):
         for algs in candidates.values():
@@ -289,10 +306,14 @@ def test_find_isomorphism_rejects_candidates_on_constant_counts(monkeypatch):
     a, b = unbounded[8][0], unbounded[8][2]
     assert b.unit is None and (constant_count(a, a.zero), constant_count(b, b.zero)) == (36, 27)
     monkeypatch.undo()
+    counted = counting(monkeypatch, core, "_count_occurrences")
     for algs in bck.values():
         for a in algs:
             b = dataclasses.replace(relabelled(a, seed=a.order), unit=None)
             assert find_isomorphism(dataclasses.replace(a, unit=None), b) is not None
+    # the guard above is not vacuous: isomorphic pairs do reach the counts,
+    # once for each of the two fresh objects
+    assert len(counted) == 2 * sum(map(len, bck.values()))
 
 
 def test_find_isomorphism_self_map(corpus):
@@ -394,7 +415,8 @@ def reference_leq(alg):
 
 def profile_order_isomorphism(a, b):
     """The order-isomorphism search as it was before degree counts: both
-    order matrices built first, each element's invariant summed over them."""
+    order matrices built first, each element's invariant summed over them,
+    and every element scanned at each placement."""
     n = a.order
     if b.order != n:
         return None
@@ -403,14 +425,17 @@ def profile_order_isomorphism(a, b):
     def profile(leq):
         return [(sum(col), sum(row)) for col, row in zip(zip(*leq), leq)]
 
-    def fits(f, x):
+    def fits(f, x, placed):
         y = f[x]
         return all(
             u == x or f[u] == -1 or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
             for u in range(n)
         )
 
-    return next(enumeration._bijections(profile(la), profile(lb), (), fits), None)
+    pa, pb = profile(la), profile(lb)
+    if sorted(pa) != sorted(pb):
+        return None
+    return next(enumeration._bijections(pa, pb, (), fits), None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -424,7 +449,7 @@ def test_order_isomorphism_matches_profile_search(read, n, pick, seed):
     candidates = [read(c) for c in enumerate_wajsberg(n)]
     query = relabelled(candidates[pick % len(candidates)], seed)
     leq = reference_leq(query)
-    assert order_degrees(query) == [(sum(col), sum(row)) for col, row in zip(zip(*leq), leq)]
+    assert order_degrees(query) == tuple((sum(col), sum(row)) for col, row in zip(zip(*leq), leq))
     for c in candidates:
         for a, b in ((c, query), (query, c)):
             assert order_isomorphism(a, b) == profile_order_isomorphism(a, b)
@@ -440,6 +465,160 @@ def relabelled(alg, seed):
     names = [alg.names[inv[x]] for x in range(n)]
     comp = [perm[alg.complement[inv[x]]] for x in range(n)]
     return FiniteAlgebra(alg.kind, names, CayleyTable(rows), perm[alg.zero], perm[alg.unit], comp)
+
+
+def reference_degrees(alg):
+    leq = reference_leq(alg)
+    return tuple((sum(col), sum(row)) for col, row in zip(zip(*leq), leq))
+
+
+def reference_occurrences(alg):
+    cells = [v for row in alg.table.entries for v in row]
+    return tuple(cells.count(x) for x in range(alg.order))
+
+
+def pre_memo_bijections(pa, pb, fixed, fits):
+    """``_bijections`` as it was before the invariants were memoized: it
+    compares the sorted invariants itself and fits(f, x) scans f."""
+    if sorted(pa) != sorted(pb):
+        return
+    n = len(pa)
+    f = [-1] * n
+    used = [False] * n
+    for x, y in fixed:
+        if f[x] == -1 and pa[x] == pb[y] and not used[y]:
+            f[x] = y
+            used[y] = True
+        elif f[x] != y:
+            return
+    candidates = {x: [y for y in range(n) if pb[y] == pa[x]] for x in range(n) if f[x] == -1}
+    order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
+
+    def place(pos):
+        if pos == len(order):
+            yield tuple(f)
+            return
+        x = order[pos]
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            f[x] = y
+            used[y] = True
+            if fits(f, x):
+                yield from place(pos + 1)
+            f[x] = -1
+            used[y] = False
+
+    yield from place(0)
+
+
+def pre_memo_find_isomorphism(a, b):
+    """``find_isomorphism`` as it was before the invariants were memoized:
+    constant counts, then occurrence counts, then profiles, each counted
+    afresh for the pair."""
+    n = a.order
+    if b.order != n or (a.unit is None) != (b.unit is None):
+        return None
+    ta, tb = a.table.entries, b.table.entries
+    match_complement = a.kind is not Kind.BCK
+    ca, cb = a.complement, b.complement
+    fixed = [(a.zero, b.zero)] if a.unit is None else [(a.zero, b.zero), (a.unit, b.unit)]
+
+    def consistent(f, x):
+        assigned = [u for u in range(n) if f[u] != -1]
+        for u in assigned:
+            for p, q in ((x, u), (u, x)):
+                r = ta[p][q]
+                if f[r] != -1 and tb[f[p]][f[q]] != f[r]:
+                    return False
+        if match_complement:
+            if f[ca[x]] != -1 and cb[f[x]] != f[ca[x]]:
+                return False
+            for u in assigned:
+                if ca[u] == x and cb[f[u]] != f[x]:
+                    return False
+        return True
+
+    def verify(f):
+        if any(f[ta[x][y]] != tb[f[x]][f[y]] for x in range(n) for y in range(n)):
+            return False
+        return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
+
+    def occurrences(t):
+        occ = [0] * n
+        for row in t:
+            for v in row:
+                occ[v] += 1
+        return occ
+
+    def profiles(t, occ):
+        return [
+            (occ[x], occ[t[x][x]], tuple(sorted(occ[v] for v in t[x])), tuple(sorted(occ[t[r][x]] for r in range(n))))
+            for x in range(n)
+        ]
+
+    if any(sum(r.count(x) for r in ta) != sum(r.count(y) for r in tb) for x, y in reversed(fixed)):
+        return None
+    occ_a, occ_b = occurrences(ta), occurrences(tb)
+    if sorted(occ_a) != sorted(occ_b):
+        return None
+    found = pre_memo_bijections(profiles(ta, occ_a), profiles(tb, occ_b), fixed, consistent)
+    return next((f for f in found if verify(f)), None)
+
+
+def pre_memo_order_isomorphism(a, b):
+    """``order_isomorphism`` as it was before the invariants were memoized."""
+    n = a.order
+    if b.order != n:
+        return None
+    la, lb = reference_leq(a), reference_leq(b)
+
+    def fits(f, x):
+        y = f[x]
+        return all(
+            u == x or f[u] == -1 or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
+            for u in range(n)
+        )
+
+    return next(pre_memo_bijections(reference_degrees(a), reference_degrees(b), (), fits), None)
+
+
+def as_wajsberg(alg):
+    return alg
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    read=st.sampled_from([as_wajsberg, wajsberg_to_bck, wajsberg_to_mv]),
+    n=st.integers(2, 64),
+    pick=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.integers(0, 64 * 64 - 1),
+    shift=st.integers(0, 62),
+)
+# The largest order with the most candidates, read as each kind.
+@example(read=as_wajsberg, n=64, pick=4, seed=1, cell=100, shift=0)
+@example(read=wajsberg_to_bck, n=64, pick=10, seed=2, cell=4095, shift=5)
+@example(read=wajsberg_to_mv, n=64, pick=0, seed=3, cell=0, shift=62)
+def test_memoized_invariants_and_maps_match_pre_memo_search(read, n, pick, seed, cell, shift):
+    candidates = [read(c) for c in enumerate_wajsberg(n)]
+    clean = relabelled(candidates[pick % len(candidates)], seed)
+    x, y = divmod(cell % (n * n), n)
+    rows = [list(row) for row in clean.table.entries]
+    rows[x][y] = (rows[x][y] + 1 + shift % (n - 1)) % n
+    for alg in (clean, clean):  # the second pass reads the memo
+        assert order_degrees(alg) == reference_degrees(alg)
+        assert occurrence_counts(alg) == reference_occurrences(alg)
+    # a copy is a new object and counts its own table, not the memo it came from
+    corrupted = dataclasses.replace(clean, table=CayleyTable(rows))
+    assert isinstance(order_degrees(corrupted), tuple) and isinstance(occurrence_counts(corrupted), tuple)
+    assert order_degrees(corrupted) == reference_degrees(corrupted)
+    assert occurrence_counts(corrupted) == reference_occurrences(corrupted)
+    for query in (clean, corrupted):
+        for c in candidates:
+            for a, b in ((c, query), (query, c)):
+                assert find_isomorphism(a, b) == pre_memo_find_isomorphism(a, b)
+                assert order_isomorphism(a, b) == pre_memo_order_isomorphism(a, b)
 
 
 @pytest.mark.parametrize(
