@@ -4,6 +4,8 @@ Elements are dense integer indices 0..n-1; display names ride along and
 matter only for I/O. The table convention is row = left operand:
 ``table.entries[x][y]`` is the value of ``x op y``.
 
+The derived order has one view, ``OrderRelation``: rows and a mark with x <= y
+iff ``rows[x][y] == mark``, read off the table; its bool matrix is built lazily.
 An algebra object is immutable, so the two O(n) isomorphism invariants
 the searches compare, ``order_degrees`` and ``occurrence_counts``, are
 counted once per object, on first use, and kept as tuples.
@@ -115,8 +117,8 @@ class FiniteAlgebra:
 
     @cached_property
     def _degrees(self) -> tuple[tuple[int, int], ...]:
-        rows, mark = _order_rows(self)
-        return tuple((col.count(mark), row.count(mark)) for col, row in zip(zip(*rows), rows))
+        rel = order_relation(self)
+        return tuple((col.count(rel.mark), row.count(rel.mark)) for col, row in zip(zip(*rel.rows), rel.rows))
 
     @cached_property
     def _occurrences(self) -> tuple[int, ...]:
@@ -191,46 +193,42 @@ def new_algebra(
 
 @dataclass(frozen=True)
 class OrderRelation:
-    """Boolean matrix of a derived order, ``leq[x][y]`` being x <= y; see ``order_relation``."""
+    """A derived order, x <= y iff ``rows[x][y] == mark`` (see ``order_relation``);
+    ``leq``, the bool matrix with ``leq[x][y]`` being x <= y, is built on first read."""
 
-    leq: tuple[tuple[bool, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    mark: int
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(tuple(v == self.mark for v in row) for row in self.rows)
 
     @property
     def order(self) -> int:
-        return len(self.leq)
+        return len(self.rows)
 
     def holds(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
+        return self.rows[x][y] == self.mark
 
     def top(self) -> int | None:
-        n = self.order
-        for t in range(n):
-            if all(self.leq[x][t] for x in range(n)):
-                return t
-        return None
-
-
-def _order_rows(alg: FiniteAlgebra) -> tuple[Sequence[Sequence[int]], int]:
-    """(rows, mark) with x <= y iff rows[x][y] == mark; for mv, row x is the row of x'."""
-    t = alg.table.entries
-    if alg.kind is Kind.BCK:
-        return t, alg.zero
-    if alg.kind is Kind.WAJSBERG:
-        return t, alg.unit
-    return [t[cx] for cx in alg.complement], alg.unit
+        return next((t for t in range(self.order) if all(row[t] == self.mark for row in self.rows)), None)
 
 
 def order_relation(alg: FiniteAlgebra) -> OrderRelation:
-    """The derived order: x <= y iff x*y = 0 (bck), x.y = 1 (wajsberg),
-    x' + y = 1 (mv). No axiom validation, so this also works on defective
-    tables under diagnosis."""
-    rows, mark = _order_rows(alg)
-    return OrderRelation(tuple(tuple(v == mark for v in row) for row in rows))
+    """The derived order as an O(n) view of the table: x <= y iff x*y = 0 (bck),
+    x.y = 1 (wajsberg), x' + y = 1 (mv: row x is the row of x'). No axiom
+    validation, so this also works on defective tables under diagnosis."""
+    t = alg.table.entries
+    if alg.kind is Kind.BCK:
+        return OrderRelation(t, alg.zero)
+    if alg.kind is Kind.WAJSBERG:
+        return OrderRelation(t, alg.unit)
+    return OrderRelation(tuple(t[cx] for cx in alg.complement), alg.unit)
 
 
 def order_degrees(alg: FiniteAlgebra) -> tuple[tuple[int, int], ...]:
     """(|down-set|, |up-set|) of each element in the order of ``order_relation``,
-    counted in the table without building the relation, once per algebra object."""
+    counted in the view's rows without its matrix, once per algebra object."""
     return alg._degrees
 
 
@@ -269,6 +267,8 @@ def _complement_row(alg: FiniteAlgebra) -> tuple[int, ...]:
 
 def complement_of(alg: FiniteAlgebra, x: int) -> int:
     """complement(x): the stored unary operation, or 1*x for a bounded BCK algebra."""
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < alg.order:
+        raise AlgebraError(f"element {x!r} is not an element index for order {alg.order}")
     return _complement_row(alg)[x]
 
 

@@ -9,11 +9,10 @@ Algebra and order isomorphism share one backtracking search,
 profiles, derived-order degrees), places the scarcest first and prunes
 against what is placed. Each search first rejects on invariants that
 ``core`` counts once per algebra object: ``order_isomorphism`` compares the
-sorted ``order_degrees`` before it builds either order matrix, and
-``find_isomorphism`` compares the sorted degrees, then how often each
-constant occurs in the two tables, then the sorted ``occurrence_counts``,
-and only then builds profiles. n stays small, so nothing fancier is
-warranted.
+sorted ``order_degrees``, and ``find_isomorphism`` compares the sorted
+degrees, then how often each constant occurs in the two tables, then the
+sorted ``occurrence_counts``, and only then builds profiles. n stays small,
+so nothing fancier is warranted.
 """
 
 from __future__ import annotations
@@ -246,12 +245,13 @@ def order_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | N
     da, db = order_degrees(a), order_degrees(b)
     if sorted(da) != sorted(db):
         return None
-    la, lb = order_relation(a).leq, order_relation(b).leq
+    ra, rb = order_relation(a), order_relation(b)
+    ta, ma, tb, mb = ra.rows, ra.mark, rb.rows, rb.mark
 
     def fits(f: list[int], x: int, placed: list[int]) -> bool:
         y = f[x]
         return all(
-            u == x or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
+            u == x or ((ta[x][u] == ma) == (tb[y][f[u]] == mb) and (ta[u][x] == ma) == (tb[f[u]][y] == mb))
             for u in placed
         )
 

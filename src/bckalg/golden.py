@@ -28,7 +28,7 @@ from math import prod
 from operator import le
 from pathlib import Path
 
-from .core import AlgebraError, FiniteAlgebra, Kind, bound_element, new_algebra, order_relation
+from .core import AlgebraError, FiniteAlgebra, Kind, bound_element, new_algebra, order_degrees, order_relation
 from .axioms import VerificationReport, check_bck, check_wajsberg, format_violation, is_commutative
 from .transforms import bck_to_mv, derive_mv_ops, mv_to_bck, mv_to_wajsberg, wajsberg_to_bck, wajsberg_to_mv
 from .substructures import ideals, subalgebras
@@ -105,7 +105,7 @@ def _chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], list[tuple[
     leq = order_relation(alg).leq
     n = alg.order
     cols = list(zip(*leq))
-    h = [sum(col) for col in cols]
+    h = [down for down, _ in order_degrees(alg)]
     irreducible = [x for x in range(n) if any(b and h[y] == h[x] - 1 for y, b in enumerate(cols[x]))]
     chains = [[j for j in irreducible if leq[a][j]] for a in range(n) if h[a] == 2]
     if prod(len(chain) + 1 for chain in chains) != n:

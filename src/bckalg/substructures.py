@@ -1,23 +1,23 @@
 """Subalgebra and ideal enumeration for finite BCK tables.
 
 One generator lists the closed subsets containing zero, each once, by
-close-by-one (Kuznetsov 1993; a relative of Ganter's NextClosure, 1984). It
-walks the elements largest down-set ({y : y*x = zero}) first and keeps a set
+close-by-one (Kuznetsov 1993; a relative of Ganter's NextClosure, 1984). It walks
+the elements largest down-set first (by ``core.order_degrees``) and keeps a set
 grown by x only if its closure adds no element that comes before x; the closure
 stops at the first such element. So about two closures are computed per closed
 set, however the elements are numbered. Closed sets are int bitsets, and closing
 looks up only the pairs that involve a new element. Ideals are the generated
-sets that pass ``is_ideal``, filtered as they come: in a BCK algebra every
-ideal is closed, since x, y in I and (x*y)*x = 0 put x*y in I. On a table that
-is not BCK, ``ideals`` lists only the closed absorbing sets. Results are ordered
-by size, then by member indices. "Proper" excludes the full carrier and {zero}.
+sets that pass ``is_ideal``, filtered as they come: in a BCK algebra every ideal
+is closed, since x, y in I and (x*y)*x = 0 put x*y in I. On a table that is not
+BCK, ``ideals`` lists only the closed absorbing sets. Results are ordered by
+size, then by member indices. "Proper" excludes the full carrier and {zero}.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra
+from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_degrees
 
 
 def _members(alg: FiniteAlgebra, members: Iterable[int]) -> frozenset[int]:
@@ -85,15 +85,16 @@ def is_ideal(alg: FiniteAlgebra, members: Iterable[int]) -> bool:
     return all(not (t[x][y] in s and x not in s) for y in s for x in range(alg.order))
 
 
-def _closed_sets(t: Sequence[Sequence[int]], zero: int) -> Iterator[list[int]]:
+def _closed_sets(alg: FiniteAlgebra) -> Iterator[list[int]]:
     """Every closed set containing zero, each once. ``before[i]`` holds the
     first i elements of the walk (largest down-set first, ties by index); a set
     grown by the i-th is kept only if its closure adds nothing in it."""
-    walk = sorted(range(len(t)), key=lambda x: -sum(row[x] == zero for row in t))
+    t = alg.table.entries
+    walk = sorted(range(alg.order), key=[-down for down, _ in order_degrees(alg)].__getitem__)
     before = [0]
     for x in walk:
         before.append(before[-1] | 1 << x)
-    stack = [(_close(t, 0, [], (zero,)), 0)]
+    stack = [(_close(t, 0, [], (alg.zero,)), 0)]
     while stack:
         base, start = stack.pop()
         members = _elements(base)
@@ -117,7 +118,7 @@ def subalgebras(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset
     The input is not validated. The search starts from {zero} and so assumes
     x*x = zero; on a table that fails the BCK axioms it still returns a list
     that looks plausible. Run ``check_bck`` first, as ``bckalg sub`` does."""
-    return _listed(alg, _closed_sets(alg.table.entries, alg.zero), proper_only)
+    return _listed(alg, _closed_sets(alg), proper_only)
 
 
 def ideals(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset[int]]:
@@ -126,7 +127,7 @@ def ideals(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset[int]
     The input is not validated: on a table that fails the BCK axioms it
     still returns a list that looks plausible. Run ``check_bck`` first, as
     ``bckalg sub`` does."""
-    return _listed(alg, (s for s in _closed_sets(alg.table.entries, alg.zero) if is_ideal(alg, s)), proper_only)
+    return _listed(alg, (s for s in _closed_sets(alg) if is_ideal(alg, s)), proper_only)
 
 
 def induced_subalgebra(alg: FiniteAlgebra, members: Iterable[int]) -> FiniteAlgebra:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -138,6 +139,13 @@ def test_complements_on_chain(corpus):
     a = corpus["ex3_1_bck"]
     assert complement_of(a, 1) == 2  # A -> B
     assert complement_of(a, 0) == 3  # O -> E
+
+
+@pytest.mark.parametrize("index", [-1, True, 9, "1"])
+def test_complement_of_rejects_what_is_no_element_index(corpus, index):
+    # -1 would wrap round to the last element and True would read as 1
+    with pytest.raises(AlgebraError, match=re.escape(f"element {index!r} is not an element index for order 4")):
+        complement_of(corpus["ex3_1_bck"], index)
 
 
 def test_complement_of_unit_is_zero(corpus, valid_bck):

@@ -12,24 +12,28 @@ from bckalg import (
     Factorization,
     FiniteAlgebra,
     Kind,
+    bound_element,
     check_bck,
     check_morphism,
     check_wajsberg,
+    complement_of,
     direct_product,
     enumerate_wajsberg,
     factorizations,
     find_isomorphism,
+    ideals,
     is_commutative,
     is_implicative,
     is_positive_implicative,
     lukasiewicz_chain,
     new_algebra,
     poset_isomorphic,
+    subalgebras,
     wajsberg_to_bck,
     wajsberg_to_mv,
 )
 from bckalg import axioms, core, enumeration, golden
-from bckalg.core import occurrence_counts, order_degrees
+from bckalg.core import occurrence_counts, order_degrees, order_relation
 from bckalg.enumeration import order_isomorphism
 
 
@@ -387,7 +391,7 @@ def test_enumerated_posets_pairwise_distinct():
 
 def test_poset_isomorphic_rejects_candidates_on_degree_counts(monkeypatch):
     # the sorted (down-set, up-set) sizes already tell these orders apart,
-    # so no order matrix is built for a candidate that does not match
+    # so no order view is built for a candidate that does not match
     def refuse(*args, **kwargs):
         raise AssertionError("order relation built for orders whose degree counts differ")
 
@@ -411,6 +415,15 @@ def reference_leq(alg):
         return tuple(tuple(t[x][y] == alg.zero for y in range(n)) for x in range(n))
     rows = t if alg.kind is Kind.WAJSBERG else [t[cx] for cx in alg.complement]
     return tuple(tuple(row[y] == alg.unit for y in range(n)) for row in rows)
+
+
+def assert_order_view_matches_reference(alg):
+    rel, leq, n = order_relation(alg), reference_leq(alg), alg.order
+    assert rel.leq == leq
+    assert all(rel.holds(x, y) == leq[x][y] for x in range(n) for y in range(n))
+    assert rel.top() == next((t for t in range(n) if all(row[t] for row in leq)), None)
+    assert rel.order == n
+    hash(rel)
 
 
 def profile_order_isomorphism(a, b):
@@ -450,6 +463,7 @@ def test_order_isomorphism_matches_profile_search(read, n, pick, seed):
     query = relabelled(candidates[pick % len(candidates)], seed)
     leq = reference_leq(query)
     assert order_degrees(query) == tuple((sum(col), sum(row)) for col, row in zip(zip(*leq), leq))
+    assert_order_view_matches_reference(query)
     for c in candidates:
         for a, b in ((c, query), (query, c)):
             assert order_isomorphism(a, b) == profile_order_isomorphism(a, b)
@@ -615,10 +629,36 @@ def test_memoized_invariants_and_maps_match_pre_memo_search(read, n, pick, seed,
     assert order_degrees(corrupted) == reference_degrees(corrupted)
     assert occurrence_counts(corrupted) == reference_occurrences(corrupted)
     for query in (clean, corrupted):
+        assert_order_view_matches_reference(query)
         for c in candidates:
             for a, b in ((c, query), (query, c)):
                 assert find_isomorphism(a, b) == pre_memo_find_isomorphism(a, b)
                 assert order_isomorphism(a, b) == pre_memo_order_isomorphism(a, b)
+
+
+def test_only_readers_of_leq_build_the_order_matrix(monkeypatch):
+    # the searches, the substructure walk, the bound and the complement read
+    # the order view; only code that reads .leq builds the bool matrix
+    def refuse(self):
+        raise AssertionError("order matrix built")
+
+    pairs = [
+        (read(a), relabelled(read(a), seed=n))
+        for n in (24, 64)
+        for a in enumerate_wajsberg(n)
+        for read in (as_wajsberg, wajsberg_to_bck, wajsberg_to_mv)
+    ]
+    bck = wajsberg_to_bck(direct_product([lukasiewicz_chain(3), lukasiewicz_chain(2), lukasiewicz_chain(2)]))
+    bare = new_algebra("bck", bck.names, bck.table, zero=bck.zero)
+    closed = subalgebras(bck), ideals(bck)
+    monkeypatch.setattr(core.OrderRelation, "leq", property(refuse))
+    for a, b in pairs:
+        assert poset_isomorphic(a, b)
+    assert (subalgebras(bck), ideals(bck)) == closed
+    assert bound_element(bare) == bck.unit
+    assert complement_of(bare, bck.zero) == bck.unit
+    given = new_algebra("bck", bck.names, bck.table, zero=bck.zero, complement=bck.complement)
+    assert given == dataclasses.replace(bck, unit=None)
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,12 @@
 A helper that two modules share gets a public name in the module that owns
 it. This test parses every module under ``src/bckalg`` and fails when one
 imports an underscore-prefixed name from another bckalg module, or reads
-one as an attribute of an imported bckalg module.
+one as an attribute of an imported bckalg module. Another fails when a
+module imports anything outside bckalg and the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,43 @@ def test_checker_flags_private_names(source):
 )
 def test_checker_allows_public_and_foreign_names(source):
     assert private_cross_module_uses(source) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Each module the source imports that is neither bckalg's own nor in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in sys.stdlib_module_names | {"bckalg"}:
+                found.append(f"line {node.lineno}: imports {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_library_imports_only_the_standard_library(path):
+    # numpy is often installed, so an accidental import of it would pass every other test
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("import numpy as np", True),
+        ("from numpy.linalg import det", True),
+        ("def f():\n    import hypothesis", True),
+        ("from __future__ import annotations\nimport itertools, os.path", False),
+        ("from .core import order_relation\nfrom . import core", False),
+        ("from bckalg.core import new_algebra", False),
+    ],
+)
+def test_foreign_import_checker(source, flagged):
+    assert bool(foreign_imports(source)) is flagged
 
 
 def test_golden_imports_nothing_from_enumeration():
