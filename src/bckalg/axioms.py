@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Mapping, Sequence
 
-from .core import AlgebraError, FiniteAlgebra, Kind
+from .core import AlgebraError, FiniteAlgebra, Kind, require_kind
 
 _TERMS = {
     "bci-1": "((x*y)*(x*z))*(z*y) = 0",
@@ -161,16 +161,14 @@ def check_mv(alg: FiniteAlgebra) -> VerificationReport:
     distinguishing identity. The monoid laws are checked even though the signature
     presupposes them: a checker that trusts unstated laws would accept garbage tables.
     The stored one is read as it is; FiniteAlgebra keeps it equal to zero'. Other kinds are refused."""
-    if alg.kind is not Kind.MV:
-        raise AlgebraError("check_mv takes an mv algebra")
+    require_kind(alg, Kind.MV, "check_mv")
     return _report("mv", ("mv-assoc", "mv-comm", "mv-zero-identity", "mv-double-negation",
                          "mv-top-absorbing", "mv-lukasiewicz"), alg)
 
 
 def check_wajsberg(alg: FiniteAlgebra) -> VerificationReport:
     """Other kinds are refused. The identities never read zero; FiniteAlgebra keeps it equal to unit'."""
-    if alg.kind is not Kind.WAJSBERG:
-        raise AlgebraError("check_wajsberg takes a wajsberg algebra")
+    require_kind(alg, Kind.WAJSBERG, "check_wajsberg")
     return _report("wajsberg", ("wajsberg-1", "wajsberg-2", "wajsberg-3", "wajsberg-4"), alg)
 
 
@@ -184,6 +182,9 @@ def check_morphism(
     images = tuple(f)
     if len(images) != n:
         raise AlgebraError("morphism map must be total on the source carrier")
-    if any(not isinstance(v, int) or not 0 <= v < target.order for v in images):
+    if any(type(v) is not int or not 0 <= v < target.order for v in images):
         raise AlgebraError("morphism image out of range of the target carrier")
     return _report("morphism", ("morphism",), source, images, target.table.entries)
+
+
+CHECKERS = {Kind.BCK: check_bck, Kind.WAJSBERG: check_wajsberg, Kind.MV: check_mv}

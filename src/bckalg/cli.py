@@ -13,10 +13,9 @@ from pathlib import Path
 
 from .core import AlgebraError, FiniteAlgebra, Kind
 from .axioms import (
+    CHECKERS,
     VerificationReport,
     check_bck,
-    check_mv,
-    check_wajsberg,
     format_violation,
     is_commutative,
     is_implicative,
@@ -65,9 +64,6 @@ def _print_report(alg: FiniteAlgebra, report: VerificationReport) -> bool:
     return False
 
 
-_CHECKERS = {Kind.BCK: check_bck, Kind.WAJSBERG: check_wajsberg, Kind.MV: check_mv}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     alg = _load(args.file, args.kind)
     extras = [
@@ -77,7 +73,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     if any(flag for flag, _ in extras) and alg.kind is not Kind.BCK:
         raise _InputError("--commutative/--implicative/--positive-implicative apply to bck files only")
-    passed = _print_report(alg, _CHECKERS[alg.kind](alg))
+    passed = _print_report(alg, CHECKERS[alg.kind](alg))
     for flag, checker in extras:
         if flag:
             passed &= _print_report(alg, checker(alg))
@@ -89,7 +85,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     to = Kind(args.to)
     try:
         if to is alg.kind:
-            require(_CHECKERS[to](alg), alg, f"{to.value} algebra")
+            require(CHECKERS[to](alg), alg, f"{to.value} algebra")
             converted = alg
         else:
             converted = TRANSLATIONS[(alg.kind, to)][0](alg)
@@ -100,11 +96,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bck(path: str, taker: str) -> FiniteAlgebra:
-    """A file that must hold a valid bck algebra; anything else is an input error."""
-    alg = _load(path)
-    if alg.kind is not Kind.BCK:
-        raise _InputError(f"{taker} takes a bck file, got kind {alg.kind.value}")
+def _load_bck(path: str) -> FiniteAlgebra:
+    """A file that must declare kind bck and hold a valid bck algebra; anything else is an input error."""
+    alg = _load(path, "bck")
     try:
         require(check_bck(alg), alg, "bck algebra")
     except AlgebraError as exc:
@@ -113,7 +107,7 @@ def _load_bck(path: str, taker: str) -> FiniteAlgebra:
 
 
 def _cmd_iseki(args: argparse.Namespace) -> int:
-    alg = _load_bck(args.file, "iseki extension")
+    alg = _load_bck(args.file)
     sys.stdout.write(render_algebra(iseki_extension(alg)))
     return 0
 
@@ -146,7 +140,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sub(args: argparse.Namespace) -> int:
-    alg = _load_bck(args.file, "sub")
+    alg = _load_bck(args.file)
     proper = not args.all
     scope = "proper" if proper else "all"
     both = not (args.subalgebras or args.ideals)

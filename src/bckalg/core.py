@@ -49,7 +49,7 @@ class CayleyTable:
             if len(row) != n:
                 raise AlgebraError(f"row {i} has {len(row)} entries, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise AlgebraError(f"entry ({i},{j})={v!r} is not an element index of an order-{n} table")
 
     @property
@@ -99,9 +99,9 @@ class FiniteAlgebra:
         if len(set(self.names)) != n:
             raise AlgebraError("element names must be pairwise distinct")
         for label, idx in (("designated zero", self.zero), ("designated one", self.unit)):
-            if idx is not None and (not isinstance(idx, int) or not 0 <= idx < n):
+            if idx is not None and (type(idx) is not int or not 0 <= idx < n):
                 raise AlgebraError(f"{label} index {idx!r} out of range for order {n}")
-        if c is not None and (len(c) != n or any(not isinstance(v, int) or not 0 <= v < n for v in c)):
+        if c is not None and (len(c) != n or any(type(v) is not int or not 0 <= v < n for v in c)):
             raise AlgebraError("complement row must map every element into the carrier")
         for field in _REQUIRED[self.kind]:
             if getattr(self, field) is None:
@@ -194,7 +194,8 @@ def new_algebra(
 @dataclass(frozen=True)
 class OrderRelation:
     """A derived order, x <= y iff ``rows[x][y] == mark`` (see ``order_relation``);
-    ``leq``, the bool matrix with ``leq[x][y]`` being x <= y, is built on first read."""
+    ``leq``, the bool matrix with ``leq[x][y]`` being x <= y, is built on first read.
+    ``==`` compares the views (rows and mark): for "same order" compare ``.leq`` or use ``poset_isomorphic``."""
 
     rows: tuple[tuple[int, ...], ...]
     mark: int
@@ -242,6 +243,12 @@ def occurrence_counts(alg: FiniteAlgebra) -> tuple[int, ...]:
     return alg._occurrences
 
 
+def require_kind(alg: FiniteAlgebra, kind: Kind, taker: str) -> None:
+    """Raise "<taker> takes a(n) <kind> algebra" unless ``alg`` is of that kind."""
+    if alg.kind is not kind:
+        raise AlgebraError(f"{taker} takes {'an' if kind is Kind.MV else 'a'} {kind.value} algebra")
+
+
 def derived_order(alg: FiniteAlgebra) -> OrderRelation:
     """The relation x <= y iff x*y = zero, read straight off the table."""
     if alg.kind is not Kind.BCK:
@@ -267,7 +274,7 @@ def _complement_row(alg: FiniteAlgebra) -> tuple[int, ...]:
 
 def complement_of(alg: FiniteAlgebra, x: int) -> int:
     """complement(x): the stored unary operation, or 1*x for a bounded BCK algebra."""
-    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < alg.order:
+    if type(x) is not int or not 0 <= x < alg.order:
         raise AlgebraError(f"element {x!r} is not an element index for order {alg.order}")
     return _complement_row(alg)[x]
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, occurrence_counts, order_degrees, order_relation
+from .core import (AlgebraError, FiniteAlgebra, Kind, new_algebra, occurrence_counts, order_degrees, order_relation,
+                   require_kind)
 from .axioms import check_morphism, check_wajsberg, require
 
 
@@ -90,8 +91,7 @@ def direct_product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
     if not parts:
         raise AlgebraError("direct product needs at least one part")
     for part in parts:
-        if part.kind is not Kind.WAJSBERG:
-            raise AlgebraError("direct product takes wajsberg algebras")
+        require_kind(part, Kind.WAJSBERG, "direct product")
         require(check_wajsberg(part), part, "wajsberg algebra")
     return _product(parts)
 
@@ -186,17 +186,17 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
     """A constant-preserving bijection f with f(x op y) = f(x) op f(y), or None.
 
     For Wajsberg and MV kinds the complement is part of the signature and is
-    preserved as well. Returned as a tuple: element i of ``a`` maps to f[i].
-    """
+    preserved as well. A bck one declared on one side only is not pinned: the
+    order fixes the top. Returned as a tuple: element i of ``a`` maps to f[i]."""
     if a.kind != b.kind:
         raise AlgebraError("isomorphism search needs algebras of the same kind")
     n = a.order
-    if b.order != n or (a.unit is None) != (b.unit is None):
+    if b.order != n:
         return None
     ta, tb = a.table.entries, b.table.entries
     match_complement = a.kind is not Kind.BCK
     ca, cb = a.complement, b.complement
-    fixed = [(a.zero, b.zero)] if a.unit is None else [(a.zero, b.zero), (a.unit, b.unit)]
+    fixed = [(a.zero, b.zero)] if None in (a.unit, b.unit) else [(a.zero, b.zero), (a.unit, b.unit)]
 
     def consistent(f: list[int], x: int, placed: list[int]) -> bool:
         y = f[x]

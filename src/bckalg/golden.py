@@ -28,9 +28,10 @@ from math import prod
 from operator import le
 from pathlib import Path
 
-from .core import AlgebraError, FiniteAlgebra, Kind, bound_element, new_algebra, order_degrees, order_relation
+from .core import (AlgebraError, FiniteAlgebra, Kind, bound_element, new_algebra, order_degrees, order_relation,
+                   require_kind)
 from .axioms import VerificationReport, check_bck, check_wajsberg, format_violation, is_commutative
-from .transforms import bck_to_mv, derive_mv_ops, mv_to_bck, mv_to_wajsberg, wajsberg_to_bck, wajsberg_to_mv
+from .transforms import bck_to_mv, mv_to_bck, mv_to_wajsberg, wajsberg_to_bck, wajsberg_to_mv
 from .substructures import ideals, subalgebras
 from .algfile import ParseError, load_algebra
 
@@ -130,8 +131,7 @@ def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     Only the stored table is checked, once, with ``check_wajsberg``: the
     rebuilt one is a chain product. Tables of another kind are rejected.
     """
-    if alg.kind is not Kind.WAJSBERG:
-        raise AlgebraError("diagnose_wajsberg takes a wajsberg algebra")
+    require_kind(alg, Kind.WAJSBERG, "diagnose_wajsberg")
     report = check_wajsberg(alg)
     if report.passed:
         return Diagnosis(alg, (), report)
@@ -254,7 +254,6 @@ def run_check_paper(fixtures: Path) -> tuple[list[str], bool]:
             mv_to_wajsberg(mv_w).table == diag.corrected.table
             and mv_to_bck(mv_w).table == recomputed.table
             and mv_to_bck(mv_b).table == target.table
-            and derive_mv_ops(mv_b).ominus == target.table
         )
         lines.append(f"{ex}: roundtrips: {'PASS' if round_ok else 'FAIL'}")
         ok &= round_ok

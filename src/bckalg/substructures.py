@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_degrees
+from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_degrees, require_kind
 
 
 def _members(alg: FiniteAlgebra, members: Iterable[int]) -> frozenset[int]:
@@ -131,7 +131,8 @@ def ideals(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset[int]
 
 
 def induced_subalgebra(alg: FiniteAlgebra, members: Iterable[int]) -> FiniteAlgebra:
-    """The standalone BCK algebra on a closed subset, indices compacted in order."""
+    """The standalone BCK algebra on a closed subset of a bck algebra, indices compacted in order."""
+    require_kind(alg, Kind.BCK, "induced_subalgebra")
     s = sorted(_members(alg, members))
     if not is_subalgebra(alg, s):
         raise AlgebraError("subset is not closed under the table")

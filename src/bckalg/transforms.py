@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AlgebraError, CayleyTable, FiniteAlgebra, Kind, bound_element, new_algebra
-from .axioms import check_bck, check_mv, check_wajsberg, is_commutative, require
+from .core import AlgebraError, CayleyTable, FiniteAlgebra, Kind, bound_element, new_algebra, require_kind
+from .axioms import CHECKERS, is_commutative, require
 
 
 @dataclass(frozen=True)
@@ -30,19 +30,15 @@ class DerivedMvOps:
 def _validated(alg: FiniteAlgebra, kind: Kind, caller: str) -> tuple[int, int, tuple[int, ...]]:
     """Check the kind and the axioms of a translation source; return its
     (zero, one, complement), the complement of a BCK source being 1*x."""
-    if alg.kind is not kind:
-        article = "an" if kind is Kind.MV else "a"
-        raise AlgebraError(f"{caller} takes {article} {kind.value} algebra")
-    if kind is Kind.BCK:
-        require(check_bck(alg), alg, "bck algebra")
-        require(is_commutative(alg), alg, "commutative bck algebra")
-        top = alg.unit if alg.unit is not None else bound_element(alg)
-        if top is None:
-            raise AlgebraError(f"{caller} requires a bounded algebra")
-        return alg.zero, top, alg.table.entries[top]
-    checker = check_wajsberg if kind is Kind.WAJSBERG else check_mv
-    require(checker(alg), alg, f"{kind.value} algebra")
-    return alg.zero, alg.unit, alg.complement
+    require_kind(alg, kind, caller)
+    require(CHECKERS[kind](alg), alg, f"{kind.value} algebra")
+    if kind is not Kind.BCK:
+        return alg.zero, alg.unit, alg.complement
+    require(is_commutative(alg), alg, "commutative bck algebra")
+    top = alg.unit if alg.unit is not None else bound_element(alg)
+    if top is None:
+        raise AlgebraError(f"{caller} requires a bounded algebra")
+    return alg.zero, top, alg.table.entries[top]
 
 
 def _translate(alg: FiniteAlgebra, source: Kind, target: Kind) -> FiniteAlgebra:
@@ -58,8 +54,7 @@ def iseki_extension(alg: FiniteAlgebra) -> FiniteAlgebra:
     """Adjoin a fresh top to a BCK algebra:
     x.y = x*y on the old carrier, x.1 = 0, 1.y = 1 for old y, 1.1 = 0.
     The input is not validated: run ``check_bck`` first, as ``bckalg iseki`` does."""
-    if alg.kind is not Kind.BCK:
-        raise AlgebraError("iseki extension takes a bck algebra")
+    require_kind(alg, Kind.BCK, "iseki extension")
     n = alg.order
     z = alg.zero
     rows = [list(row) + [z] for row in alg.table.entries]
@@ -114,10 +109,10 @@ TRANSLATIONS = {
 
 
 def derive_mv_ops(alg: FiniteAlgebra) -> DerivedMvOps:
-    """The product and difference tables of a valid MV algebra."""
+    """The product and difference tables of a valid MV algebra, the difference by ``mv_to_bck``'s formula."""
     _, _, c = _validated(alg, Kind.MV, "derive_mv_ops")
-    t = alg.table.entries
-    n = alg.order
-    odot = CayleyTable(tuple(tuple(c[t[c[x]][c[y]]] for y in range(n)) for x in range(n)))
-    ominus = CayleyTable(tuple(tuple(c[t[c[x]][y]] for y in range(n)) for x in range(n)))
+    t, carrier = alg.table.entries, range(alg.order)
+    minus = TRANSLATIONS[(Kind.MV, Kind.BCK)][1]
+    odot = CayleyTable(tuple(tuple(c[t[c[x]][c[y]]] for y in carrier) for x in carrier))
+    ominus = CayleyTable(tuple(tuple(minus(t, c, x, y) for y in carrier) for x in carrier))
     return DerivedMvOps(odot, ominus)

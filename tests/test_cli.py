@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from pathlib import Path
 
@@ -97,6 +98,7 @@ def test_iseki(capsys, corpus):
 
 def test_iseki_needs_bck(capsys):
     assert main(["iseki", fx("ex3_1_wajsberg.alg")]) == 2
+    assert capsys.readouterr().err == f"error: {fx('ex3_1_wajsberg.alg')} declares kind wajsberg, not bck\n"
 
 
 NOT_BCK = "kind: bck\norder: 3\nelements: 0 a b\nzero: 0\ntable:\n0 0 0\na a a\nb a b\n"
@@ -259,6 +261,7 @@ def test_sub_all_includes_trivial(capsys):
 
 def test_sub_needs_bck(capsys):
     assert main(["sub", fx("ex3_1_wajsberg.alg")]) == 2
+    assert capsys.readouterr().err == f"error: {fx('ex3_1_wajsberg.alg')} declares kind wajsberg, not bck\n"
 
 
 def test_sub_rejects_table_failing_bck_axioms(tmp_path, capsys):
@@ -279,6 +282,15 @@ def test_iso_mapping(tmp_path, capsys):
     assert main(["iso", fx("ex3_1_bck.alg"), str(path)]) == 0
     out = capsys.readouterr().out
     assert "O -> e0" in out and "E -> e3" in out
+
+
+def test_iso_pairs_a_file_with_its_copy_without_one(tmp_path, capsys):
+    bare = tmp_path / "ex3_1_bck.alg"
+    bare.write_text(re.sub(r"(?m)^one: .*\n", "", Path(fx("ex3_1_bck.alg")).read_text(encoding="utf-8")))
+    assert "one:" not in bare.read_text()
+    for pair in ([fx("ex3_1_bck.alg"), str(bare)], [str(bare), fx("ex3_1_bck.alg")]):
+        assert main(["iso", *pair]) == 0
+        assert capsys.readouterr().out == "O -> O\nA -> A\nB -> B\nE -> E\n"
 
 
 def test_iso_non_isomorphic(capsys):

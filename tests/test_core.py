@@ -11,6 +11,7 @@ from bckalg import (
     bck_to_mv,
     bound_element,
     check_bck,
+    check_morphism,
     complement_of,
     derived_order,
     involutions,
@@ -29,6 +30,10 @@ TWO_ATOMS = [[0, 0, 0], [1, 0, 1], [2, 2, 0]]
 
 def trivial():
     return new_algebra("bck", ["t"], [[0]], zero=0)
+
+
+def two_chain():
+    return new_algebra("bck", "ab", TWO_CHAIN, zero=0)
 
 
 def test_trivial_algebra_valid():
@@ -139,6 +144,23 @@ def test_complements_on_chain(corpus):
     a = corpus["ex3_1_bck"]
     assert complement_of(a, 1) == 2  # A -> B
     assert complement_of(a, 0) == 3  # O -> E
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: new_algebra("bck", "ab", [[False, False], [True, False]], zero=0), "entry (0,0)=False is not"),
+        (lambda: new_algebra("bck", "ab", TWO_CHAIN, zero=False), "designated zero index False"),
+        (lambda: new_algebra("bck", "ab", TWO_CHAIN, zero=0, one=True), "designated one index True"),
+        (lambda: FiniteAlgebra(Kind.BCK, "ab", CayleyTable(TWO_CHAIN), 0, 1, (True, 0)), "complement row"),
+        (lambda: check_morphism([0, True], two_chain(), two_chain()), "morphism image"),
+    ],
+    ids=["table entry", "zero", "one", "complement", "morphism image"],
+)
+def test_bool_is_not_an_element_index(build, message):
+    # False == 0 and True == 1, so each of these once passed as an index
+    with pytest.raises(AlgebraError, match=f"^{re.escape(message)}"):
+        build()
 
 
 @pytest.mark.parametrize("index", [-1, True, 9, "1"])

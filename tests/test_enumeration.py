@@ -335,6 +335,19 @@ def test_find_isomorphism_respects_constants(corpus):
     assert f[a.zero] == target.zero and f[a.unit] == target.unit
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["declared-bare", "bare-declared"])
+def test_find_isomorphism_needs_no_unit_on_both_sides(corpus, swap):
+    # a bck isomorphism maps the top to the top, so a one declared on one side
+    # only is no obstacle; a missing one once made every such pair non-isomorphic
+    product = wajsberg_to_bck(direct_product([lukasiewicz_chain(2), lukasiewicz_chain(3)]))
+    for a, b in ((corpus["ex3_1_bck"], corpus["ex3_1_bck"]), (product, relabelled(product, seed=6))):
+        a, b = (dataclasses.replace(b, unit=None), a) if swap else (a, dataclasses.replace(b, unit=None))
+        f = find_isomorphism(a, b)
+        assert f is not None and check_morphism(f, a, b).passed
+        top_a, top_b = bound_element(a), bound_element(b)
+        assert None not in (top_a, top_b) and f[top_a] == top_b
+
+
 def test_find_isomorphism_distinguishes_orders(corpus):
     assert find_isomorphism(corpus["ex3_1_bck"], corpus["ex3_2_bck"]) is None
 

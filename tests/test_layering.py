@@ -8,6 +8,7 @@ module imports anything outside bckalg and the standard library.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -160,3 +161,45 @@ def test_constant_relations_are_left_to_the_type(module):
 )
 def test_constant_lookup_checker(source, flagged):
     assert bool(constant_lookups(source)) is flagged
+
+
+@pytest.mark.parametrize("module", ["cli", "transforms"])
+def test_kind_checkers_come_from_one_table(module):
+    # which axioms a kind is read under is stated once, in axioms.CHECKERS
+    tree = ast.parse((MODULES[0].parent / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "CHECKERS" in imported and not {"check_mv", "check_wajsberg"} & imported
+
+
+def kind_guards(source: str) -> list[str]:
+    """Each ``raise AlgebraError(...)`` whose message says that something takes a(n) kind."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            func = node.exc.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "AlgebraError" and re.search(r" takes (an? |\{)", ast.unparse(node.exc)):
+                found.append(f"line {node.lineno}: {ast.unparse(node.exc)}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_kind_guard_is_stated_once(path):
+    # every "f takes a(n) K algebra" goes through core.require_kind
+    assert len(kind_guards(path.read_text(encoding="utf-8"))) == (path.stem == "core")
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ('raise AlgebraError("iseki extension takes a bck algebra")', True),
+        ('raise core.AlgebraError("check_mv takes an mv algebra")', True),
+        ('raise AlgebraError(f"{caller} takes {article} {kind.value} algebra")', True),
+        ('raise AlgebraError("bound search is defined for bck algebras")', False),
+        ('raise AlgebraError("the search takes too long")', False),
+        ('raise ValueError("f takes a bck algebra")', False),
+        ('require_kind(alg, Kind.BCK, "induced_subalgebra")', False),
+    ],
+)
+def test_kind_guard_checker(source, flagged):
+    assert bool(kind_guards(source)) is flagged

@@ -21,9 +21,11 @@ from bckalg import (
     is_ideal,
     is_subalgebra,
     iseki_extension,
+    lukasiewicz_chain,
     new_algebra,
     subalgebras,
     wajsberg_to_bck,
+    wajsberg_to_mv,
 )
 
 
@@ -188,6 +190,16 @@ def test_induced_subalgebra_errors(corpus):
     idem = new_algebra("bck", ["z", "a", "b"], [[0, 0, 0], [1, 1, 0], [2, 2, 0]], zero=0)
     with pytest.raises(AlgebraError, match="^subset does not contain zero$"):
         induced_subalgebra(idem, [1])
+
+
+@pytest.mark.parametrize("kind", [Kind.WAJSBERG, Kind.MV])
+def test_induced_subalgebra_takes_bck_algebras_only(kind):
+    # {e0, e2} is closed in the 3-chain's implication table, which once came
+    # back as a bck algebra that fails check_bck
+    chain = lukasiewicz_chain(3)
+    alg = chain if kind is Kind.WAJSBERG else wajsberg_to_mv(chain)
+    with pytest.raises(AlgebraError, match="^induced_subalgebra takes a bck algebra$"):
+        induced_subalgebra(alg, [0, 2])
 
 
 def test_ideals_never_hold_the_subalgebra_list():
