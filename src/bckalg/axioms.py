@@ -178,7 +178,7 @@ def check_morphism(
     """f(x op y) = f(x) op f(y) over all pairs; bijective passing maps are isomorphisms."""
     n = source.order
     if isinstance(f, Mapping):
-        f = [f[x] for x in range(n)] if set(f.keys()) == set(range(n)) else []
+        f = [f[x] for x in range(n)] if all(type(k) is int for k in f) and set(f) == set(range(n)) else []
     images = tuple(f)
     if len(images) != n:
         raise AlgebraError("morphism map must be total on the source carrier")

@@ -46,8 +46,6 @@ def _load(path: str, kind: str | None = None) -> FiniteAlgebra:
     """The algebra in a file, which must declare ``kind`` when one is given."""
     try:
         alg = load_algebra(path)
-    except OSError as exc:
-        raise _InputError(str(exc)) from None
     except AlgebraError as exc:
         raise _InputError(f"{path}: {exc}") from None
     if kind is not None and alg.kind.value != kind:
@@ -119,10 +117,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise _InputError(f"--order must be <= {MAX_ENUMERATE_ORDER}")
     out = None if args.out is None else Path(args.out)
     if out is not None:
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise _InputError(str(exc)) from None
+        out.mkdir(parents=True, exist_ok=True)
     algebras = enumerate_wajsberg(args.order)
     if args.kind == "bck":
         algebras = [wajsberg_to_bck(a) for a in algebras]
@@ -131,10 +126,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         prefix = "w" if args.kind == "wajsberg" else "bck"
         for fact, alg in zip(factorizations(args.order), algebras):
             path = out / f"{prefix}{args.order}_{fact.label}.alg"
-            try:
-                save_algebra(alg, path)
-            except OSError as exc:
-                raise _InputError(str(exc)) from None
+            save_algebra(alg, path)
             print(f"wrote {path}")
     return 0
 
@@ -156,10 +148,7 @@ def _cmd_sub(args: argparse.Namespace) -> int:
 def _cmd_iso(args: argparse.Namespace) -> int:
     a = _load(args.a)
     b = _load(args.b)
-    try:
-        mapping = order_isomorphism(a, b) if args.poset else find_isomorphism(a, b)
-    except AlgebraError as exc:
-        raise _InputError(str(exc)) from None
+    mapping = order_isomorphism(a, b) if args.poset else find_isomorphism(a, b)
     if mapping is None:
         print("non-isomorphic")
         return 1
@@ -173,10 +162,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 def _cmd_check_paper(args: argparse.Namespace) -> int:
     fixtures = Path(args.fixtures) if args.fixtures is not None else fixture_dir()
-    try:
-        lines, ok = run_check_paper(fixtures)
-    except (OSError, AlgebraError) as exc:
-        raise _InputError(str(exc)) from None
+    lines, ok = run_check_paper(fixtures)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -240,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OSError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

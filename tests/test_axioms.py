@@ -193,6 +193,14 @@ def test_morphism_must_be_total(corpus):
     assert check_morphism({3: 3, 2: 2, 1: 1, 0: 0}, a, a).passed
 
 
+@pytest.mark.parametrize("keys", [(False, True), (0, True), (False, 1), (0.0, 1.0)], ids=["bools", "1-bool", "0-bool", "floats"])
+def test_morphism_map_keys_are_element_indices(keys):
+    # False == 0 and True == 1 hash alike, so a bool-keyed map once read as total
+    a = new_algebra("bck", "ab", TWO_CHAIN, zero=0)
+    with pytest.raises(AlgebraError, match="^morphism map must be total on the source carrier$"):
+        check_morphism(dict(zip(keys, (0, 1))), a, a)
+
+
 def test_bck_implies_bci(corpus):
     for name, a in corpus.items():
         if name.endswith("_bck") and check_bck(a).passed:

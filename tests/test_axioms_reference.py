@@ -6,7 +6,6 @@ identities became compiled terms. Reports must be equal: the same failed
 axioms, the same witnesses, in the same order.
 """
 
-import random
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -15,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from bckalg import (
     AlgebraError,
-    CayleyTable,
     FiniteAlgebra,
     Kind,
     VerificationReport,
@@ -25,14 +23,13 @@ from bckalg import (
     check_morphism,
     check_mv,
     check_wajsberg,
-    enumerate_wajsberg,
     find_isomorphism,
     is_commutative,
     is_implicative,
     is_positive_implicative,
-    wajsberg_to_bck,
     wajsberg_to_mv,
 )
+from references import relabelled_chain_product
 
 # -- frozen reference -----------------------------------------------------
 
@@ -174,7 +171,6 @@ KIND_CHECKERS = {
     Kind.MV: [(check_mv, ref_check_mv)],
     Kind.WAJSBERG: [(check_wajsberg, ref_check_wajsberg)],
 }
-AS_KIND = {Kind.WAJSBERG: lambda w: w, Kind.BCK: wajsberg_to_bck, Kind.MV: wajsberg_to_mv}
 
 
 def outcome(check, *args):
@@ -188,23 +184,6 @@ def outcome(check, *args):
 def assert_same_reports(alg):
     for new, ref in TABLE_CHECKERS + KIND_CHECKERS[alg.kind]:
         assert outcome(new, alg) == outcome(ref, alg), new.__name__
-
-
-def relabelled_product(kind, n, pick, seed, cells=()):
-    """An order-n chain product read as ``kind``, its elements renumbered at
-    random and its constants kept; each (cell, shift) changes one cell."""
-    cands = enumerate_wajsberg(n)
-    base = AS_KIND[kind](cands[pick % len(cands)])
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    inv = sorted(range(n), key=perm.__getitem__)
-    rows = [[perm[base.op(inv[x], inv[y])] for y in range(n)] for x in range(n)]
-    for cell, shift in cells:
-        x, y = divmod(cell % (n * n), n)
-        rows[x][y] = (rows[x][y] + 1 + shift % (n - 1)) % n
-    names = [base.names[inv[x]] for x in range(n)]
-    comp = [perm[base.complement[inv[x]]] for x in range(n)]
-    return FiniteAlgebra(kind, names, CayleyTable(rows), perm[base.zero], perm[base.unit], comp)
 
 
 def test_reports_match_reference_on_fixtures(corpus):
@@ -226,13 +205,13 @@ def test_reports_match_reference_on_fixtures(corpus):
 @example(kind=Kind.WAJSBERG, n=16, pick=4, seed=0, cells=[(255, 0)])
 @example(kind=Kind.MV, n=12, pick=2, seed=1, cells=[(17, 3), (140, 9)])
 def test_reports_match_reference_on_corrupted_chain_products(kind, n, pick, seed, cells):
-    assert_same_reports(relabelled_product(kind, n, pick, seed, cells))
+    assert_same_reports(relabelled_chain_product(kind, n, pick, seed, cells))
 
 
 @pytest.mark.parametrize("kind", [Kind.WAJSBERG, Kind.BCK, Kind.MV], ids=lambda k: k.value)
 def test_reports_match_reference_at_order_64(kind):
     # 2^6 renumbered, one cell changed near the end so the scans run long
-    assert_same_reports(relabelled_product(kind, 64, 0, 64, [(64 * 64 - 2, 5)]))
+    assert_same_reports(relabelled_chain_product(kind, 64, 0, 64, [(64 * 64 - 2, 5)]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,14 +222,14 @@ def test_reports_match_reference_at_order_64(kind):
     images=st.lists(st.integers(0, 7), min_size=8, max_size=8),
 )
 def test_morphism_reports_match_reference(n, m, seed, images):
-    source = relabelled_product(Kind.BCK, n, seed, seed)
-    target = relabelled_product(Kind.BCK, m, seed >> 8, seed >> 16)
+    source = relabelled_chain_product(Kind.BCK, n, seed, seed)
+    target = relabelled_chain_product(Kind.BCK, m, seed >> 8, seed >> 16)
     f = [v % m for v in images[:n]]
     assert outcome(check_morphism, f, source, target) == outcome(ref_check_morphism, f, source, target)
     as_map = dict(enumerate(f))
     assert outcome(check_morphism, as_map, source, target) == outcome(ref_check_morphism, as_map, source, target)
-    iso = find_isomorphism(source, relabelled_product(Kind.BCK, n, seed, seed >> 4))
+    iso = find_isomorphism(source, relabelled_chain_product(Kind.BCK, n, seed, seed >> 4))
     if iso is not None:
-        copy = relabelled_product(Kind.BCK, n, seed, seed >> 4)
+        copy = relabelled_chain_product(Kind.BCK, n, seed, seed >> 4)
         assert check_morphism(iso, source, copy) == ref_check_morphism(iso, source, copy)
         assert check_morphism(iso, source, copy).passed

@@ -51,12 +51,14 @@ def test_verify_flags_need_bck(capsys):
 
 def test_verify_missing_file(capsys):
     assert main(["verify", "--kind", "bck", "no_such.alg"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'no_such.alg'\n"
 
 
 def test_verify_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("kind: bck\norder: 4\nelements: a b c\nzero: a\ntable:\n")
     assert main(["verify", "--kind", "bck", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: elements lists 3 names, order says 4\n"
 
 
 def test_usage_error_returns_2(capsys):
@@ -300,6 +302,7 @@ def test_iso_non_isomorphic(capsys):
 
 def test_iso_kind_mismatch(capsys):
     assert main(["iso", fx("ex3_1_bck.alg"), fx("ex3_1_wajsberg.alg")]) == 2
+    assert capsys.readouterr().err == "error: isomorphism search needs algebras of the same kind\n"
 
 
 def test_iso_poset(capsys):
@@ -324,6 +327,19 @@ def test_check_paper_output_is_pinned(capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_cli_corpus_transcript_is_pinned(capsys):
+    # iso and iso --poset on every ordered pair of fixtures and sub --all on
+    # every bck fixture: the exit code and stdout of each, byte for byte, so
+    # the map that iso prints is pinned whatever search produces it
+    text = (Path(__file__).parent / "expected" / "cli_corpus.txt").read_text(encoding="utf-8")
+    runs = re.findall(r"(?m)^\$ bckalg (.*)\n((?:(?!exit |\$ ).*\n)*)exit (\d+)\n", text)
+    assert "".join(f"$ bckalg {c}\n{out}exit {rc}\n" for c, out, rc in runs) == text
+    assert len(runs) == 2 * 14 * 14 + 7
+    for command, out, rc in runs:
+        argv = [fx(w) if w.endswith(".alg") else w for w in command.split()]
+        assert (main(argv), capsys.readouterr().out) == (int(rc), out), command
+
+
 def test_check_paper_deterministic(capsys):
     main(["check-paper", str(fixture_dir())])
     first = capsys.readouterr().out
@@ -345,6 +361,7 @@ def test_check_paper_checks_each_stored_implication_table_once(monkeypatch, caps
 
 def test_check_paper_missing_dir(tmp_path, capsys):
     assert main(["check-paper", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: missing fixture {tmp_path / 'ex3_1_wajsberg.alg'}\n"
 
 
 def test_check_paper_detects_tampering(tmp_path, capsys):

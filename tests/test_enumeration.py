@@ -1,5 +1,4 @@
 import dataclasses
-import random
 from functools import reduce
 from itertools import permutations, product
 
@@ -35,6 +34,13 @@ from bckalg import (
 from bckalg import axioms, core, enumeration, golden
 from bckalg.core import occurrence_counts, order_degrees, order_relation
 from bckalg.enumeration import order_isomorphism
+from references import (
+    AS_KIND,
+    reference_find_isomorphism,
+    reference_leq,
+    reference_order_isomorphism,
+    relabelled,
+)
 
 
 def test_factorizations_of_4():
@@ -375,6 +381,49 @@ def test_find_isomorphism_checks_the_table_of_each_complete_map():
     assert find_isomorphism(a, b) is None
 
 
+def test_find_isomorphism_refuses_fixed_pairs_that_conflict(monkeypatch):
+    # one table, zero at index 0 on both sides, one declared at index 0 on
+    # one side and index 1 on the other: every invariant agrees, so the
+    # search starts, and it stops at the fixed pairs (0, 0) and (0, 1)
+    rows = [[0, 0, 1, 1]] * 4
+    a = new_algebra("bck", "0abc", rows, zero=0, one=0)
+    b = new_algebra("bck", "0abc", rows, zero=0, one=1)
+    searched = counting(monkeypatch, enumeration, "_bijections")
+    assert find_isomorphism(a, b) is None and reference_find_isomorphism(a, b) is None
+    assert len(searched) == 1
+
+
+def mv_family(complement):
+    """An mv-kind table with x + 0 = 0 + x = x and every other sum 1, over
+    the given complement. Only the complement tells such tables apart, and
+    ``bckalg iso`` searches mv files without validating them."""
+    n = len(complement)
+    rows = [[x if y == 0 else y if x == 0 else 1 for y in range(n)] for x in range(n)]
+    return new_algebra("mv", [f"m{x}" for x in range(n)], rows, zero=0, one=1, complement=complement)
+
+
+@pytest.mark.parametrize(
+    "ca, cb",
+    [
+        # involutions fixing the middle on one side and swapping it in pairs on the other:
+        # without the complement checks, all (n - 2)! = 24 maps of the middle reach check_morphism
+        ((1, 0, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4)),
+        ((1, 0, 3, 2, 5, 4), (1, 0, 2, 3, 4, 5)),
+        # not involutions: only the check f(x') = f(x)' for an x' placed before x prunes ...
+        ((1, 0, 2, 2), (1, 0, 2, 3)),
+        # ... and only the check f(u') = f(u)' for a placed u with u' = x prunes
+        ((1, 0, 3, 3), (1, 0, 2, 3)),
+    ],
+    ids=["fixed-swapped", "swapped-fixed", "x-after-its-complement", "x-the-complement-of-u"],
+)
+def test_find_isomorphism_prunes_on_the_complement(monkeypatch, ca, cb):
+    a, b = mv_family(ca), mv_family(cb)
+    assert (order_degrees(a), occurrence_counts(a)) == (order_degrees(b), occurrence_counts(b))
+    checked = counting(monkeypatch, enumeration, "check_morphism")
+    assert find_isomorphism(a, b) is None and reference_find_isomorphism(a, b) is None
+    assert checked == []
+
+
 def test_isomorphic_algebras_share_check_profile(corpus):
     a, b = corpus["ex3_4_bck"], corpus["ex3_5_bck"]
     assert find_isomorphism(a, b) is not None
@@ -421,15 +470,6 @@ def test_poset_isomorphic_rejects_candidates_on_degree_counts(monkeypatch):
             assert poset_isomorphic(a, relabelled(a, seed=a.order))
 
 
-def reference_leq(alg):
-    """The derived order as a bool matrix, built cell by cell from the table."""
-    t, n = alg.table.entries, alg.order
-    if alg.kind is Kind.BCK:
-        return tuple(tuple(t[x][y] == alg.zero for y in range(n)) for x in range(n))
-    rows = t if alg.kind is Kind.WAJSBERG else [t[cx] for cx in alg.complement]
-    return tuple(tuple(row[y] == alg.unit for y in range(n)) for row in rows)
-
-
 def assert_order_view_matches_reference(alg):
     rel, leq, n = order_relation(alg), reference_leq(alg), alg.order
     assert rel.leq == leq
@@ -437,31 +477,6 @@ def assert_order_view_matches_reference(alg):
     assert rel.top() == next((t for t in range(n) if all(row[t] for row in leq)), None)
     assert rel.order == n
     hash(rel)
-
-
-def profile_order_isomorphism(a, b):
-    """The order-isomorphism search as it was before degree counts: both
-    order matrices built first, each element's invariant summed over them,
-    and every element scanned at each placement."""
-    n = a.order
-    if b.order != n:
-        return None
-    la, lb = reference_leq(a), reference_leq(b)
-
-    def profile(leq):
-        return [(sum(col), sum(row)) for col, row in zip(zip(*leq), leq)]
-
-    def fits(f, x, placed):
-        y = f[x]
-        return all(
-            u == x or f[u] == -1 or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
-            for u in range(n)
-        )
-
-    pa, pb = profile(la), profile(lb)
-    if sorted(pa) != sorted(pb):
-        return None
-    return next(enumeration._bijections(pa, pb, (), fits), None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -474,24 +489,11 @@ def profile_order_isomorphism(a, b):
 def test_order_isomorphism_matches_profile_search(read, n, pick, seed):
     candidates = [read(c) for c in enumerate_wajsberg(n)]
     query = relabelled(candidates[pick % len(candidates)], seed)
-    leq = reference_leq(query)
-    assert order_degrees(query) == tuple((sum(col), sum(row)) for col, row in zip(zip(*leq), leq))
+    assert order_degrees(query) == reference_degrees(query)
     assert_order_view_matches_reference(query)
     for c in candidates:
         for a, b in ((c, query), (query, c)):
-            assert order_isomorphism(a, b) == profile_order_isomorphism(a, b)
-
-
-def relabelled(alg, seed):
-    """alg with its elements renumbered by a random permutation."""
-    n = alg.order
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    inv = sorted(range(n), key=perm.__getitem__)
-    rows = [[perm[alg.op(inv[x], inv[y])] for y in range(n)] for x in range(n)]
-    names = [alg.names[inv[x]] for x in range(n)]
-    comp = [perm[alg.complement[inv[x]]] for x in range(n)]
-    return FiniteAlgebra(alg.kind, names, CayleyTable(rows), perm[alg.zero], perm[alg.unit], comp)
+            assert order_isomorphism(a, b) == reference_order_isomorphism(a, b)
 
 
 def reference_degrees(alg):
@@ -504,119 +506,9 @@ def reference_occurrences(alg):
     return tuple(cells.count(x) for x in range(alg.order))
 
 
-def pre_memo_bijections(pa, pb, fixed, fits):
-    """``_bijections`` as it was before the invariants were memoized: it
-    compares the sorted invariants itself and fits(f, x) scans f."""
-    if sorted(pa) != sorted(pb):
-        return
-    n = len(pa)
-    f = [-1] * n
-    used = [False] * n
-    for x, y in fixed:
-        if f[x] == -1 and pa[x] == pb[y] and not used[y]:
-            f[x] = y
-            used[y] = True
-        elif f[x] != y:
-            return
-    candidates = {x: [y for y in range(n) if pb[y] == pa[x]] for x in range(n) if f[x] == -1}
-    order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
-
-    def place(pos):
-        if pos == len(order):
-            yield tuple(f)
-            return
-        x = order[pos]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            f[x] = y
-            used[y] = True
-            if fits(f, x):
-                yield from place(pos + 1)
-            f[x] = -1
-            used[y] = False
-
-    yield from place(0)
-
-
-def pre_memo_find_isomorphism(a, b):
-    """``find_isomorphism`` as it was before the invariants were memoized:
-    constant counts, then occurrence counts, then profiles, each counted
-    afresh for the pair."""
-    n = a.order
-    if b.order != n or (a.unit is None) != (b.unit is None):
-        return None
-    ta, tb = a.table.entries, b.table.entries
-    match_complement = a.kind is not Kind.BCK
-    ca, cb = a.complement, b.complement
-    fixed = [(a.zero, b.zero)] if a.unit is None else [(a.zero, b.zero), (a.unit, b.unit)]
-
-    def consistent(f, x):
-        assigned = [u for u in range(n) if f[u] != -1]
-        for u in assigned:
-            for p, q in ((x, u), (u, x)):
-                r = ta[p][q]
-                if f[r] != -1 and tb[f[p]][f[q]] != f[r]:
-                    return False
-        if match_complement:
-            if f[ca[x]] != -1 and cb[f[x]] != f[ca[x]]:
-                return False
-            for u in assigned:
-                if ca[u] == x and cb[f[u]] != f[x]:
-                    return False
-        return True
-
-    def verify(f):
-        if any(f[ta[x][y]] != tb[f[x]][f[y]] for x in range(n) for y in range(n)):
-            return False
-        return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
-
-    def occurrences(t):
-        occ = [0] * n
-        for row in t:
-            for v in row:
-                occ[v] += 1
-        return occ
-
-    def profiles(t, occ):
-        return [
-            (occ[x], occ[t[x][x]], tuple(sorted(occ[v] for v in t[x])), tuple(sorted(occ[t[r][x]] for r in range(n))))
-            for x in range(n)
-        ]
-
-    if any(sum(r.count(x) for r in ta) != sum(r.count(y) for r in tb) for x, y in reversed(fixed)):
-        return None
-    occ_a, occ_b = occurrences(ta), occurrences(tb)
-    if sorted(occ_a) != sorted(occ_b):
-        return None
-    found = pre_memo_bijections(profiles(ta, occ_a), profiles(tb, occ_b), fixed, consistent)
-    return next((f for f in found if verify(f)), None)
-
-
-def pre_memo_order_isomorphism(a, b):
-    """``order_isomorphism`` as it was before the invariants were memoized."""
-    n = a.order
-    if b.order != n:
-        return None
-    la, lb = reference_leq(a), reference_leq(b)
-
-    def fits(f, x):
-        y = f[x]
-        return all(
-            u == x or f[u] == -1 or (la[x][u] == lb[y][f[u]] and la[u][x] == lb[f[u]][y])
-            for u in range(n)
-        )
-
-    return next(pre_memo_bijections(reference_degrees(a), reference_degrees(b), (), fits), None)
-
-
-def as_wajsberg(alg):
-    return alg
-
-
 @settings(max_examples=30, deadline=None)
 @given(
-    read=st.sampled_from([as_wajsberg, wajsberg_to_bck, wajsberg_to_mv]),
+    read=st.sampled_from([AS_KIND[Kind.WAJSBERG], wajsberg_to_bck, wajsberg_to_mv]),
     n=st.integers(2, 64),
     pick=st.integers(0, 10),
     seed=st.integers(0, 2**32 - 1),
@@ -624,10 +516,10 @@ def as_wajsberg(alg):
     shift=st.integers(0, 62),
 )
 # The largest order with the most candidates, read as each kind.
-@example(read=as_wajsberg, n=64, pick=4, seed=1, cell=100, shift=0)
+@example(read=AS_KIND[Kind.WAJSBERG], n=64, pick=4, seed=1, cell=100, shift=0)
 @example(read=wajsberg_to_bck, n=64, pick=10, seed=2, cell=4095, shift=5)
 @example(read=wajsberg_to_mv, n=64, pick=0, seed=3, cell=0, shift=62)
-def test_memoized_invariants_and_maps_match_pre_memo_search(read, n, pick, seed, cell, shift):
+def test_memoized_invariants_and_maps_match_reference_search(read, n, pick, seed, cell, shift):
     candidates = [read(c) for c in enumerate_wajsberg(n)]
     clean = relabelled(candidates[pick % len(candidates)], seed)
     x, y = divmod(cell % (n * n), n)
@@ -645,8 +537,8 @@ def test_memoized_invariants_and_maps_match_pre_memo_search(read, n, pick, seed,
         assert_order_view_matches_reference(query)
         for c in candidates:
             for a, b in ((c, query), (query, c)):
-                assert find_isomorphism(a, b) == pre_memo_find_isomorphism(a, b)
-                assert order_isomorphism(a, b) == pre_memo_order_isomorphism(a, b)
+                assert find_isomorphism(a, b) == reference_find_isomorphism(a, b)
+                assert order_isomorphism(a, b) == reference_order_isomorphism(a, b)
 
 
 def test_only_readers_of_leq_build_the_order_matrix(monkeypatch):
@@ -659,7 +551,7 @@ def test_only_readers_of_leq_build_the_order_matrix(monkeypatch):
         (read(a), relabelled(read(a), seed=n))
         for n in (24, 64)
         for a in enumerate_wajsberg(n)
-        for read in (as_wajsberg, wajsberg_to_bck, wajsberg_to_mv)
+        for read in AS_KIND.values()
     ]
     bck = wajsberg_to_bck(direct_product([lukasiewicz_chain(3), lukasiewicz_chain(2), lukasiewicz_chain(2)]))
     bare = new_algebra("bck", bck.names, bck.table, zero=bck.zero)

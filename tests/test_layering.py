@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import bckalg
+from bckalg import enumeration
 
 MODULES = sorted(Path(bckalg.__file__).parent.glob("*.py"))
+REFERENCES = Path(__file__).parent / "references.py"
 
 
 def _private(name: str) -> bool:
@@ -128,6 +130,50 @@ def test_golden_imports_nothing_from_enumeration():
     tree = ast.parse((MODULES[0].parent / "golden.py").read_text(encoding="utf-8"))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not {"enumeration", "bckalg.enumeration"} & imported
+
+
+def enumeration_imports(source: str) -> list[str]:
+    """Each import that reaches bckalg.enumeration: the module itself, or a
+    name it defines other than enumerate_wajsberg, which only builds inputs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            package, _, rest = name.partition(".")
+            home = getattr(getattr(bckalg, rest, None), "__module__", None)
+            if package == "bckalg" and (
+                rest.split(".")[0] == "enumeration" or (home == enumeration.__name__ and rest != "enumerate_wajsberg")
+            ):
+                found.append(f"line {node.lineno}: imports {name}")
+    return found
+
+
+def test_references_take_no_search_from_the_library():
+    # tests/references.py is a second path for the two searches only while it
+    # shares no code with them, nor with any private helper of the library
+    source = REFERENCES.read_text(encoding="utf-8")
+    assert enumeration_imports(source) == []
+    assert private_cross_module_uses(source) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("import bckalg.enumeration", True),
+        ("from bckalg import enumeration", True),
+        ("from bckalg.enumeration import order_isomorphism", True),
+        ("from bckalg import CayleyTable, find_isomorphism", True),
+        ("from bckalg import CayleyTable, enumerate_wajsberg", False),
+        ("import random\nfrom bckalg.core import Kind", False),
+    ],
+)
+def test_enumeration_import_checker(source, flagged):
+    assert bool(enumeration_imports(source)) is flagged
 
 
 def constant_lookups(source: str) -> list[str]:

@@ -27,6 +27,7 @@ from bckalg import (
     wajsberg_to_bck,
     wajsberg_to_mv,
 )
+from references import relabel
 
 
 def name_sets(alg, subsets):
@@ -305,13 +306,6 @@ def test_close_stops_exactly_when_the_closure_meets_stop(n, cells, seed, fresh, 
     assert members == substructures._elements(base)
 
 
-def _relabelled(alg, perm):
-    """The algebra with element x renamed perm[x], its table and zero moved along."""
-    inv = sorted(range(alg.order), key=perm.__getitem__)
-    rows = [[perm[alg.op(inv[x], inv[y])] for y in range(alg.order)] for x in range(alg.order)]
-    return FiniteAlgebra(Kind.BCK, [alg.names[i] for i in inv], CayleyTable(rows), perm[alg.zero])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 12),
@@ -333,7 +327,7 @@ def test_substructures_follow_a_relabelling(n, pick, seed, cell):
     alg = FiniteAlgebra(Kind.BCK, base.names, CayleyTable(rows), base.zero)
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    moved = _relabelled(alg, perm)
+    moved = relabel(alg, perm)
     for family in (subalgebras, ideals):
         for proper in (False, True):
             expected = sorted((frozenset(perm[x] for x in s) for s in family(alg, proper)), key=lambda s: (len(s), sorted(s)))

@@ -7,7 +7,6 @@ every subset that contains zero, as ``bckalg.substructures`` did before it
 held closed sets as int bitsets. Lists must be equal, order included.
 """
 
-import random
 from itertools import combinations
 from typing import Iterable
 
@@ -26,8 +25,8 @@ from bckalg import (
     ideals,
     is_ideal,
     subalgebras,
-    wajsberg_to_bck,
 )
+from references import relabelled_chain_product
 
 # -- frozen reference -----------------------------------------------------
 
@@ -119,23 +118,6 @@ def assert_same_ideals(alg):
         assert ideals(alg, proper) == ref_ideals(alg, proper)
 
 
-def relabelled_bck(n, pick, seed, cells=()):
-    """The BCK image of an order-n chain product, its elements renumbered at
-    random and its constants kept; each (cell, shift) changes one cell."""
-    cands = enumerate_wajsberg(n)
-    base = wajsberg_to_bck(cands[pick % len(cands)])
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    inv = sorted(range(n), key=perm.__getitem__)
-    rows = [[perm[base.op(inv[x], inv[y])] for y in range(n)] for x in range(n)]
-    for cell, shift in cells:
-        x, y = divmod(cell % (n * n), n)
-        rows[x][y] = (rows[x][y] + 1 + shift % (n - 1)) % n
-    names = [base.names[inv[x]] for x in range(n)]
-    comp = [perm[base.complement[inv[x]]] for x in range(n)]
-    return FiniteAlgebra(Kind.BCK, names, CayleyTable(rows), perm[base.zero], perm[base.unit], comp)
-
-
 def test_lists_match_reference_on_fixtures(corpus):
     # all 14 tables, the two defective difference tables and the implication tables included
     for alg in corpus.values():
@@ -147,7 +129,7 @@ def test_lists_match_reference_on_fixtures(corpus):
 @pytest.mark.parametrize("n", range(2, 17))
 def test_lists_match_reference_on_every_chain_product(n):
     for pick in range(len(enumerate_wajsberg(n))):
-        alg = relabelled_bck(n, pick, seed=n * 100 + pick)
+        alg = relabelled_chain_product(Kind.BCK, n, pick, seed=n * 100 + pick)
         assert_same_subalgebras(alg)
         assert_same_ideals(alg)
 
@@ -166,7 +148,7 @@ def test_subalgebras_and_closures_match_reference_on_corrupted_tables(n, pick, s
     # ideals are not compared with the subset scan: on a table that is not BCK
     # an absorbing set need not be closed, so ``ideals`` is pinned instead as
     # the subalgebras that pass ``is_ideal``
-    alg = relabelled_bck(n, pick, seed, cells)
+    alg = relabelled_chain_product(Kind.BCK, n, pick, seed, cells)
     assert_same_subalgebras(alg)
     assert_same_closures(alg, [{x % n for x in s} for s in seeds])
     for proper in (False, True):
@@ -185,7 +167,7 @@ def test_ideals_are_the_down_sets_of_boolean_elements(n, pick, seed):
     # ideals are exactly the down-sets of the elements b with b + b = b, and a
     # product of k chains has 2^k of them.
     k = len(factorizations(n)[pick % len(factorizations(n))].factors)
-    alg = relabelled_bck(n, pick, seed)
+    alg = relabelled_chain_product(Kind.BCK, n, pick, seed)
     mv = bck_to_mv(alg)
     boolean = [b for b in range(n) if mv.op(b, b) == b]
     down_sets = {frozenset(x for x in range(n) if mv.op(mv.complement[x], b) == mv.unit) for b in boolean}
