@@ -24,7 +24,7 @@ def _members(alg: FiniteAlgebra, members: Iterable[int]) -> frozenset[int]:
     """The members as a set, each checked to be an element index (a bool is not)."""
     s = tuple(members)
     for x in s:
-        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < alg.order:
+        if type(x) is not int or not 0 <= x < alg.order:
             raise AlgebraError(f"member {x!r} is not an element index for order {alg.order}")
     return frozenset(s)
 

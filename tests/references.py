@@ -1,5 +1,5 @@
-"""Second paths for the two isomorphism searches, and the builders of the
-relabelled algebras the tests feed them.
+"""Second paths for the two isomorphism searches and for the factorizations,
+and the small algebras and builders the tests share.
 
 The two references are separate backtracking searches for algebra and order
 isomorphisms, sharing no code with ``bckalg.enumeration``.
@@ -14,9 +14,41 @@ module takes no search and no private name from the library.
 import dataclasses
 import random
 
-from bckalg import CayleyTable, FiniteAlgebra, Kind, enumerate_wajsberg, wajsberg_to_bck, wajsberg_to_mv
+from bckalg import CayleyTable, FiniteAlgebra, Kind, enumerate_wajsberg, new_algebra, wajsberg_to_bck, wajsberg_to_mv
 
 AS_KIND = {Kind.WAJSBERG: lambda w: w, Kind.BCK: wajsberg_to_bck, Kind.MV: wajsberg_to_mv}
+
+TWO_CHAIN = [[0, 0], [1, 0]]
+
+
+def two_chain():
+    return new_algebra("bck", ["z", "a"], TWO_CHAIN, zero=0)
+
+
+def trivial():
+    return new_algebra("bck", ["t"], [[0]], zero=0)
+
+
+def name_sets(alg, subsets):
+    """Each subset of element indices as a frozenset of element names."""
+    return {frozenset(alg.names[i] for i in s) for s in subsets}
+
+
+def sets_of(*names):
+    return {frozenset(n) for n in names}
+
+
+def reference_factorizations(n):
+    """Every way to write n as a product of factors >= 2, each as a
+    non-decreasing tuple found by trial division, fewest factors first and
+    then in lexicographic order."""
+
+    def splits(m, least):
+        if m == 1:
+            return [()]
+        return [(f, *rest) for f in range(least, m + 1) if m % f == 0 for rest in splits(m // f, f)]
+
+    return sorted(splits(n, 2), key=lambda fs: (len(fs), fs))
 
 
 def relabel(alg, perm):

@@ -3,7 +3,6 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
 from bckalg import (
     check_bci,
@@ -26,16 +25,7 @@ from bckalg import (
     Kind,
 )
 from bckalg import axioms
-
-TWO_CHAIN = [[0, 0], [1, 0]]
-
-
-def two_chain():
-    return new_algebra("bck", ["z", "a"], TWO_CHAIN, zero=0)
-
-
-def trivial():
-    return new_algebra("bck", ["t"], [[0]], zero=0)
+from references import TWO_CHAIN, trivial, two_chain
 
 
 def test_two_chain_is_bci():
@@ -205,44 +195,6 @@ def test_bck_implies_bci(corpus):
     for name, a in corpus.items():
         if name.endswith("_bck") and check_bck(a).passed:
             assert check_bci(a).passed
-
-
-@st.composite
-def arbitrary_tables(draw):
-    n = draw(st.integers(min_value=2, max_value=5))
-    rows = [
-        [draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(n)]
-        for _ in range(n)
-    ]
-    return new_algebra("bck", [f"x{i}" for i in range(n)], rows, zero=0)
-
-
-@given(arbitrary_tables())
-def test_witnesses_are_self_certifying(alg):
-    """Replaying any reported witness against an independent evaluation of the
-    named axiom must re-violate it."""
-    t = alg.table.entries
-    z = alg.zero
-    violates = {
-        "bci-1": lambda w: t[t[t[w[0]][w[1]]][t[w[0]][w[2]]]][t[w[2]][w[1]]] != z,
-        "bci-2": lambda w: t[t[w[0]][t[w[0]][w[1]]]][w[1]] != z,
-        "bci-3": lambda w: t[w[0]][w[0]] != z,
-        "bci-4": lambda w: t[w[0]][w[1]] == z and t[w[1]][w[0]] == z and w[0] != w[1],
-        "bck-5": lambda w: t[z][w[0]] != z,
-        "commutative": lambda w: t[w[0]][t[w[0]][w[1]]] != t[w[1]][t[w[1]][w[0]]],
-        "implicative": lambda w: t[w[0]][t[w[1]][w[0]]] != w[0],
-        "positive-implicative": lambda w: t[t[w[0]][w[1]]][w[2]] != t[t[w[0]][w[2]]][t[w[1]][w[2]]],
-    }
-    reports = [check_bck(alg), is_commutative(alg), is_implicative(alg), is_positive_implicative(alg)]
-    for rep in reports:
-        for v in rep.failures:
-            assert violates[v.axiom](v.witness)
-
-
-@given(arbitrary_tables())
-def test_report_passed_iff_no_failures(alg):
-    rep = check_bck(alg)
-    assert rep.passed == (not rep.failures)
 
 
 def test_checks_are_fast_at_order_12():

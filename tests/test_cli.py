@@ -8,6 +8,7 @@ from bckalg import check_mv, check_wajsberg, fixture_dir, parse_algebra, save_al
 from bckalg import lukasiewicz_chain, wajsberg_to_bck
 from bckalg import cli, golden
 from bckalg.cli import main
+from references import reference_factorizations
 
 
 def fx(name):
@@ -160,14 +161,8 @@ def expected_enumerate_files(n, kind):
     is named "(ex1,...,exk)" ("ex1" for one chain); with ti = ri - 1, the
     wajsberg op is min(ti, ti - xi + yi), the bck op max(0, xi - yi) and
     the complement ti - xi, all componentwise."""
-
-    def splits(m, least):
-        if m == 1:
-            return [()]
-        return [(f, *rest) for f in range(least, m + 1) if m % f == 0 for rest in splits(m // f, f)]
-
     files = {}
-    for sizes in sorted(splits(n, 2), key=lambda fs: (len(fs), fs)):
+    for sizes in reference_factorizations(n):
         elements = list(product(*(range(r) for r in sizes)))
         index = {x: i for i, x in enumerate(elements)}
         tops = tuple(r - 1 for r in sizes)

@@ -22,18 +22,10 @@ from bckalg import (
     render_algebra,
     wajsberg_to_mv,
 )
+from references import TWO_CHAIN, trivial, two_chain
 
-TWO_CHAIN = [[0, 0], [1, 0]]
 # two incomparable atoms over zero; passes every bck axiom but has no top
 TWO_ATOMS = [[0, 0, 0], [1, 0, 1], [2, 2, 0]]
-
-
-def trivial():
-    return new_algebra("bck", ["t"], [[0]], zero=0)
-
-
-def two_chain():
-    return new_algebra("bck", "ab", TWO_CHAIN, zero=0)
 
 
 def test_trivial_algebra_valid():
@@ -128,8 +120,7 @@ def test_unknown_element_name(corpus):
 
 
 def test_bound_of_extension():
-    two = new_algebra("bck", ["z", "a"], TWO_CHAIN, zero=0)
-    assert bound_element(iseki_extension(two)) == 2
+    assert bound_element(iseki_extension(two_chain())) == 2
 
 
 def test_unbounded_algebra_has_no_bound():

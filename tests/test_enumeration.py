@@ -40,6 +40,7 @@ from references import (
     reference_leq,
     reference_order_isomorphism,
     relabelled,
+    relabelled_chain_product,
 )
 
 
@@ -479,23 +480,6 @@ def assert_order_view_matches_reference(alg):
     hash(rel)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    read=st.sampled_from([lambda w: w, wajsberg_to_bck, wajsberg_to_mv]),
-    n=st.sampled_from([24, 32, 36, 40, 64]),
-    pick=st.integers(0, 10),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_order_isomorphism_matches_profile_search(read, n, pick, seed):
-    candidates = [read(c) for c in enumerate_wajsberg(n)]
-    query = relabelled(candidates[pick % len(candidates)], seed)
-    assert order_degrees(query) == reference_degrees(query)
-    assert_order_view_matches_reference(query)
-    for c in candidates:
-        for a, b in ((c, query), (query, c)):
-            assert order_isomorphism(a, b) == reference_order_isomorphism(a, b)
-
-
 def reference_degrees(alg):
     leq = reference_leq(alg)
     return tuple((sum(col), sum(row)) for col, row in zip(zip(*leq), leq))
@@ -519,6 +503,10 @@ def reference_occurrences(alg):
 @example(read=AS_KIND[Kind.WAJSBERG], n=64, pick=4, seed=1, cell=100, shift=0)
 @example(read=wajsberg_to_bck, n=64, pick=10, seed=2, cell=4095, shift=5)
 @example(read=wajsberg_to_mv, n=64, pick=0, seed=3, cell=0, shift=62)
+# The classify benchmark's other products: 2x3x4, 3x3x4 and 5x8.
+@example(read=AS_KIND[Kind.WAJSBERG], n=24, pick=5, seed=4, cell=300, shift=7)
+@example(read=wajsberg_to_bck, n=36, pick=7, seed=5, cell=1000, shift=11)
+@example(read=wajsberg_to_mv, n=40, pick=3, seed=6, cell=1599, shift=20)
 def test_memoized_invariants_and_maps_match_reference_search(read, n, pick, seed, cell, shift):
     candidates = [read(c) for c in enumerate_wajsberg(n)]
     clean = relabelled(candidates[pick % len(candidates)], seed)
@@ -539,6 +527,32 @@ def test_memoized_invariants_and_maps_match_reference_search(read, n, pick, seed
             for a, b in ((c, query), (query, c)):
                 assert find_isomorphism(a, b) == reference_find_isomorphism(a, b)
                 assert order_isomorphism(a, b) == reference_order_isomorphism(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(Kind)),
+    n=st.integers(2, 16),
+    pick=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.none() | st.integers(0, 255),
+    shift=st.integers(0, 14),
+    drop_unit=st.booleans(),
+)
+# A clean 2^4 and a 2^4 whose corruption keeps the derived order.
+@example(kind=Kind.BCK, n=16, pick=4, seed=0, cell=None, shift=0, drop_unit=False)
+@example(kind=Kind.WAJSBERG, n=16, pick=4, seed=0, cell=1, shift=0, drop_unit=False)
+def test_isomorphism_searches_match_references(kind, n, pick, seed, cell, shift, drop_unit):
+    query = relabelled_chain_product(kind, n, pick, seed, () if cell is None else [(cell, shift)])
+    others = [AS_KIND[kind](c) for c in enumerate_wajsberg(n)]
+    if drop_unit and kind is Kind.BCK:
+        # Unbounded bck signatures: only the zero is a fixed pair.
+        query = dataclasses.replace(query, unit=None)
+        others = [dataclasses.replace(c, unit=None) for c in others]
+    for other in others:
+        for a, b in ((other, query), (query, other)):
+            assert find_isomorphism(a, b) == reference_find_isomorphism(a, b)
+            assert order_isomorphism(a, b) == reference_order_isomorphism(a, b)
 
 
 def test_only_readers_of_leq_build_the_order_matrix(monkeypatch):

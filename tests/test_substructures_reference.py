@@ -1,10 +1,12 @@
-"""The substructure enumerator against a frozen copy of the code it replaced,
-and the ideal lists against an oracle that enumerates nothing.
+"""The substructure enumerator against the one reference for closures,
+subalgebras and ideals, and the ideal lists against an oracle that
+enumerates nothing.
 
 The reference below closes frozensets by re-pairing every member on every
 call, grows subalgebras from that closure, and finds ideals by scanning
-every subset that contains zero, as ``bckalg.substructures`` did before it
-held closed sets as int bitsets. Lists must be equal, order included.
+every subset that contains zero. It shares no code with
+``bckalg.substructures``, which walks closed sets held as int bitsets. Lists
+must be equal, order included.
 """
 
 from itertools import combinations
@@ -25,10 +27,11 @@ from bckalg import (
     ideals,
     is_ideal,
     subalgebras,
+    wajsberg_to_bck,
 )
 from references import relabelled_chain_product
 
-# -- frozen reference -----------------------------------------------------
+# -- reference ------------------------------------------------------------
 
 
 def ref_closure_of(alg: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
@@ -132,6 +135,12 @@ def test_lists_match_reference_on_every_chain_product(n):
         alg = relabelled_chain_product(Kind.BCK, n, pick, seed=n * 100 + pick)
         assert_same_subalgebras(alg)
         assert_same_ideals(alg)
+
+
+def test_subalgebras_match_reference_on_natural_order_8_products():
+    # 8, 2x4 and 2x2x2 as enumerated, not renumbered
+    for w in enumerate_wajsberg(8):
+        assert_same_subalgebras(wajsberg_to_bck(w))
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,16 +21,11 @@ from bckalg import (
     wajsberg_to_mv,
 )
 from bckalg.golden import diagnose_wajsberg
-
-TWO_CHAIN = [[0, 0], [1, 0]]
-
-
-def two_chain():
-    return new_algebra("bck", ["z", "a"], TWO_CHAIN, zero=0)
+from references import TWO_CHAIN, trivial, two_chain
 
 
 def test_iseki_of_trivial_is_two_chain():
-    ext = iseki_extension(new_algebra("bck", ["t"], [[0]], zero=0))
+    ext = iseki_extension(trivial())
     assert ext.table.entries == ((0, 0), (1, 0))
     assert ext.unit == 1 and ext.zero == 0
 
