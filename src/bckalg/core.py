@@ -4,11 +4,18 @@ Elements are dense integer indices 0..n-1; display names ride along and
 matter only for I/O. The table convention is row = left operand:
 ``table.entries[x][y]`` is the value of ``x op y``.
 
+Cells are checked at the boundary only. ``CayleyTable(...)`` checks that the
+table is square and that every cell is an element index; it is how every table
+from outside enters, by itself or through ``new_algebra`` given raw rows.
+``CayleyTable.trusted`` checks no cell: the library's own builders use it for
+tables whose cells are lookups into tables that were already checked.
+
 The derived order has one view, ``OrderRelation``: rows and a mark with x <= y
 iff ``rows[x][y] == mark``, read off the table; its bool matrix is built lazily.
 An algebra object is immutable, so the two O(n) isomorphism invariants
 the searches compare, ``order_degrees`` and ``occurrence_counts``, are
-counted once per object, on first use, and kept as tuples.
+counted once per object, on first use, and kept as tuples, and so is the
+sorted ``degree_multiset``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,10 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True)
 class CayleyTable:
-    """Square operation table over element indices; closed by construction."""
+    """Square operation table over element indices; closed by construction.
+
+    ``CayleyTable(rows)`` checks the shape and every cell, each bad cell
+    raising ``AlgebraError``; ``CayleyTable.trusted(rows)`` checks nothing."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -51,6 +61,15 @@ class CayleyTable:
             for j, v in enumerate(row):
                 if type(v) is not int or not 0 <= v < n:
                     raise AlgebraError(f"entry ({i},{j})={v!r} is not an element index of an order-{n} table")
+
+    @classmethod
+    def trusted(cls, rows: Iterable[Iterable[int]]) -> CayleyTable:
+        """The rows as the same tuple-of-tuples ``entries``, with no check of
+        the shape or of any cell: only for a table the library built in range
+        by construction from tables that were already checked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "entries", tuple(map(tuple, rows)))
+        return table
 
     @property
     def order(self) -> int:
@@ -121,6 +140,10 @@ class FiniteAlgebra:
         return tuple((col.count(rel.mark), row.count(rel.mark)) for col, row in zip(zip(*rel.rows), rel.rows))
 
     @cached_property
+    def _degree_multiset(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self._degrees))
+
+    @cached_property
     def _occurrences(self) -> tuple[int, ...]:
         return _count_occurrences(self.table.entries)
 
@@ -150,7 +173,8 @@ def new_algebra(
 ) -> FiniteAlgebra:
     """Derive the constants a kind leaves out, check the ones that depend on
     the table, and assemble a FiniteAlgebra, which checks the constants
-    themselves. No axiom checking happens here.
+    themselves. No axiom checking happens here. Raw rows are checked cell by
+    cell through ``CayleyTable(rows)``; a ``CayleyTable`` is taken as it is.
 
     * ``bck``: one is optional, but if given every x must satisfy
       x*one = zero; an explicit complement must agree with the top's row when
@@ -231,6 +255,11 @@ def order_degrees(alg: FiniteAlgebra) -> tuple[tuple[int, int], ...]:
     """(|down-set|, |up-set|) of each element in the order of ``order_relation``,
     counted in the view's rows without its matrix, once per algebra object."""
     return alg._degrees
+
+
+def degree_multiset(alg: FiniteAlgebra) -> tuple[tuple[int, int], ...]:
+    """``order_degrees`` sorted, which isomorphic orders share; sorted once per algebra object."""
+    return alg._degree_multiset
 
 
 def _count_occurrences(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

@@ -8,11 +8,13 @@ Algebra and order isomorphism share one backtracking search,
 ``_bijections``, that matches elements by an invariant (table occurrence
 profiles, derived-order degrees), places the scarcest first and prunes
 against what is placed. Each search first rejects on invariants that
-``core`` counts once per algebra object: ``order_isomorphism`` compares the
-sorted ``order_degrees``, and ``find_isomorphism`` compares the sorted
-degrees, then how often each constant occurs in the two tables, then the
-sorted ``occurrence_counts``, and only then builds profiles. n stays small,
-so nothing fancier is warranted.
+``core`` keeps once per algebra object: ``order_isomorphism`` compares the
+``degree_multiset`` (the sorted ``order_degrees``), and ``find_isomorphism``
+compares it too, then how often each constant occurs in the two tables,
+then the sorted ``occurrence_counts``, and only then builds profiles. n
+stays small, so nothing fancier is warranted. The chain and product tables
+are built in range by construction, so they skip the cell check
+(``CayleyTable.trusted``).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .core import (AlgebraError, FiniteAlgebra, Kind, new_algebra, occurrence_counts, order_degrees, order_relation,
-                   require_kind)
+from .core import (AlgebraError, CayleyTable, FiniteAlgebra, Kind, degree_multiset, new_algebra, occurrence_counts,
+                   order_degrees, order_relation, require_kind)
 from .axioms import check_morphism, check_wajsberg, require
 
 
@@ -78,7 +80,7 @@ def lukasiewicz_chain(n: int) -> FiniteAlgebra:
     rows = [tuple(range(top - i, top)) + (top,) * (n - i) for i in range(n)]
     comp = [top - i for i in range(n)]
     names = [f"e{i}" for i in range(n)]
-    return new_algebra(Kind.WAJSBERG, names, rows, one=top, complement=comp)
+    return new_algebra(Kind.WAJSBERG, names, CayleyTable.trusted(rows), one=top, complement=comp)
 
 
 def direct_product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
@@ -111,7 +113,7 @@ def _product(parts: list[FiniteAlgebra]) -> FiniteAlgebra:
         comp = [u * k + v for u in comp for v in p.complement]
         one = one * k + p.unit
     names = ["(" + ",".join(t) + ")" for t in product(*(p.names for p in parts))]
-    return new_algebra(Kind.WAJSBERG, names, rows, one=one, complement=comp)
+    return new_algebra(Kind.WAJSBERG, names, CayleyTable.trusted(rows), one=one, complement=comp)
 
 
 def enumerate_wajsberg(n: int) -> list[FiniteAlgebra]:
@@ -209,13 +211,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
             r = f[ta[u][x]]
             if r != -1 and tb[v][y] != r:
                 return False
-        if match_complement:
-            if f[ca[x]] != -1 and cb[y] != f[ca[x]]:
-                return False
-            for u in placed:
-                if ca[u] == x and cb[f[u]] != y:
-                    return False
-        return True
+        return not match_complement or f[ca[x]] == -1 or cb[y] == f[ca[x]]
 
     def verify(f: tuple[int, ...]) -> bool:
         if not check_morphism(f, a, b).passed:
@@ -225,7 +221,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
     # an isomorphism preserves the table, the constants and the complement,
     # so it preserves the derived order, and each constant and each element
     # occurs equally often in both tables
-    if sorted(order_degrees(a)) != sorted(order_degrees(b)):
+    if degree_multiset(a) != degree_multiset(b):
         return None
     occ_a, occ_b = occurrence_counts(a), occurrence_counts(b)
     if any(occ_a[x] != occ_b[y] for x, y in fixed) or sorted(occ_a) != sorted(occ_b):
@@ -242,9 +238,9 @@ def order_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | N
     n = a.order
     if b.order != n:
         return None
-    da, db = order_degrees(a), order_degrees(b)
-    if sorted(da) != sorted(db):
+    if degree_multiset(a) != degree_multiset(b):
         return None
+    da, db = order_degrees(a), order_degrees(b)
     ra, rb = order_relation(a), order_relation(b)
     ta, ma, tb, mb = ra.rows, ra.mark, rb.rows, rb.mark
 

@@ -28,8 +28,8 @@ from math import prod
 from operator import le
 from pathlib import Path
 
-from .core import (AlgebraError, FiniteAlgebra, Kind, bound_element, new_algebra, order_degrees, order_relation,
-                   require_kind)
+from .core import (AlgebraError, CayleyTable, FiniteAlgebra, Kind, bound_element, new_algebra, order_degrees,
+                   order_relation, require_kind)
 from .axioms import VerificationReport, check_bck, check_wajsberg, format_violation, is_commutative
 from .transforms import bck_to_mv, mv_to_bck, mv_to_wajsberg, wajsberg_to_bck, wajsberg_to_mv
 from .substructures import ideals, subalgebras
@@ -129,7 +129,8 @@ def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     chains of equal length, and that swap is an algebra automorphism.
 
     Only the stored table is checked, once, with ``check_wajsberg``: the
-    rebuilt one is a chain product. Tables of another kind are rejected.
+    rebuilt one is a chain product, so neither its axioms nor its cells are
+    checked. Tables of another kind are rejected.
     """
     require_kind(alg, Kind.WAJSBERG, "diagnose_wajsberg")
     report = check_wajsberg(alg)
@@ -149,7 +150,7 @@ def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
         index = [u * k + c[i] for u, c in zip(index, coords)]
     element = sorted(range(alg.order), key=index.__getitem__)
     rows = [[element[r[j]] for j in index] for r in (table[i] for i in index)]
-    corrected = new_algebra(Kind.WAJSBERG, alg.names, rows, one=alg.unit)
+    corrected = new_algebra(Kind.WAJSBERG, alg.names, CayleyTable.trusted(rows), one=alg.unit)
     return Diagnosis(corrected, cell_mismatches(alg, corrected), report)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra, order_degrees, require_kind
+from .core import AlgebraError, CayleyTable, FiniteAlgebra, Kind, new_algebra, order_degrees, require_kind
 
 
 def _members(alg: FiniteAlgebra, members: Iterable[int]) -> frozenset[int]:
@@ -131,7 +131,8 @@ def ideals(alg: FiniteAlgebra, proper_only: bool = False) -> list[frozenset[int]
 
 
 def induced_subalgebra(alg: FiniteAlgebra, members: Iterable[int]) -> FiniteAlgebra:
-    """The standalone BCK algebra on a closed subset of a bck algebra, indices compacted in order."""
+    """The standalone BCK algebra on a closed subset of a bck algebra, indices
+    compacted in order; its cells, read from a closed subset, are not checked again."""
     require_kind(alg, Kind.BCK, "induced_subalgebra")
     s = sorted(_members(alg, members))
     if not is_subalgebra(alg, s):
@@ -140,4 +141,4 @@ def induced_subalgebra(alg: FiniteAlgebra, members: Iterable[int]) -> FiniteAlge
         raise AlgebraError("subset does not contain zero")
     position = {x: i for i, x in enumerate(s)}
     rows = [[position[alg.op(x, y)] for y in s] for x in s]
-    return new_algebra(Kind.BCK, [alg.names[x] for x in s], rows, zero=position[alg.zero])
+    return new_algebra(Kind.BCK, [alg.names[x] for x in s], CayleyTable.trusted(rows), zero=position[alg.zero])

@@ -4,9 +4,11 @@ The six translations share one driver: check the source kind and axioms,
 fill the target table from a one-line cell formula, assemble it with
 ``new_algebra``. ``TRANSLATIONS`` maps (source kind, target kind) to the
 public function and its formula. The carrier (indices and names) never
-changes, so roundtrip equality is literal table equality. BCK and Wajsberg
-tables translate directly into each other, x*y = complement(x.y) one way
-and x.y = complement(x*y) the other; the routes through the MV sum are
+changes, so roundtrip equality is literal table equality. Every table built
+here is read from a table whose cells were checked, so it skips the cell
+check (``CayleyTable.trusted``). BCK and Wajsberg tables translate
+directly into each other, x*y = complement(x.y) one way and
+x.y = complement(x*y) the other; the routes through the MV sum are
 deliberately left as independent paths for coherence testing.
 """
 
@@ -47,7 +49,7 @@ def _translate(alg: FiniteAlgebra, source: Kind, target: Kind) -> FiniteAlgebra:
     t = alg.table.entries
     carrier = range(alg.order)
     rows = [[cell(t, c, x, y) for y in carrier] for x in carrier]
-    return new_algebra(target, alg.names, rows, zero=zero, one=one, complement=c)
+    return new_algebra(target, alg.names, CayleyTable.trusted(rows), zero=zero, one=one, complement=c)
 
 
 def iseki_extension(alg: FiniteAlgebra) -> FiniteAlgebra:
@@ -62,7 +64,7 @@ def iseki_extension(alg: FiniteAlgebra) -> FiniteAlgebra:
     fresh = "1"
     while fresh in alg.names:
         fresh += "'"
-    return new_algebra(Kind.BCK, alg.names + (fresh,), rows, zero=z, one=n)
+    return new_algebra(Kind.BCK, alg.names + (fresh,), CayleyTable.trusted(rows), zero=z, one=n)
 
 
 def bck_to_mv(alg: FiniteAlgebra) -> FiniteAlgebra:
@@ -113,6 +115,6 @@ def derive_mv_ops(alg: FiniteAlgebra) -> DerivedMvOps:
     _, _, c = _validated(alg, Kind.MV, "derive_mv_ops")
     t, carrier = alg.table.entries, range(alg.order)
     minus = TRANSLATIONS[(Kind.MV, Kind.BCK)][1]
-    odot = CayleyTable(tuple(tuple(c[t[c[x]][c[y]]] for y in carrier) for x in carrier))
-    ominus = CayleyTable(tuple(tuple(minus(t, c, x, y) for y in carrier) for x in carrier))
+    odot = CayleyTable.trusted([[c[t[c[x]][c[y]]] for y in carrier] for x in carrier])
+    ominus = CayleyTable.trusted([[minus(t, c, x, y) for y in carrier] for x in carrier])
     return DerivedMvOps(odot, ominus)

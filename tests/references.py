@@ -1,5 +1,5 @@
-"""Second paths for the two isomorphism searches and for the factorizations,
-and the small algebras and builders the tests share.
+"""Second paths for the two isomorphism searches, the factorizations and
+the chain products, and the small algebras and builders the tests share.
 
 The two references are separate backtracking searches for algebra and order
 isomorphisms, sharing no code with ``bckalg.enumeration``.
@@ -7,12 +7,16 @@ isomorphisms, sharing no code with ``bckalg.enumeration``.
 bijection they return, or None where they do, on relabelled chain products
 of all three kinds, clean or with one corrupted cell. A change that replaces
 either library search is compared against these rather than against a frozen
-copy of the code it replaced. ``tests/test_layering.py`` checks that this
-module takes no search and no private name from the library.
+copy of the code it replaced. ``reference_chain_product`` builds a chain
+product from the chain formulas through the checked ``CayleyTable`` and
+``FiniteAlgebra``, for the tables the library builds unchecked.
+``tests/test_layering.py`` checks that this module takes no search and no
+private name from the library.
 """
 
 import dataclasses
 import random
+from itertools import product
 
 from bckalg import CayleyTable, FiniteAlgebra, Kind, enumerate_wajsberg, new_algebra, wajsberg_to_bck, wajsberg_to_mv
 
@@ -49,6 +53,34 @@ def reference_factorizations(n):
         return [(f, *rest) for f in range(least, m + 1) if m % f == 0 for rest in splits(m // f, f)]
 
     return sorted(splits(n, 2), key=lambda fs: (len(fs), fs))
+
+
+CHAIN_CELLS = {
+    Kind.WAJSBERG: lambda t, a, b: min(t, t - a + b),
+    Kind.BCK: lambda t, a, b: max(0, a - b),
+}
+
+
+def reference_chain_product(sizes, kind=Kind.WAJSBERG):
+    """The product of the Lukasiewicz chains of the given sizes, read as
+    ``kind`` (wajsberg or bck), from the chain formulas alone: element
+    (x1, ..., xk) sits at mixed-radix index ((x1*r2 + x2)*r3 + ...) and is
+    named "(ex1,...,exk)" ("ex1" for one chain); with ti = ri - 1, the
+    wajsberg op is min(ti, ti - xi + yi), the bck op max(0, xi - yi), the
+    complement ti - xi, zero all 0 and one all ti, componentwise. Built
+    through the checked ``CayleyTable`` and ``FiniteAlgebra``."""
+    kind = Kind(kind)
+    elements = list(product(*(range(r) for r in sizes)))
+    index = {x: i for i, x in enumerate(elements)}
+    tops = tuple(r - 1 for r in sizes)
+    if len(sizes) == 1:
+        names = [f"e{x[0]}" for x in elements]
+    else:
+        names = ["(" + ",".join(f"e{v}" for v in x) + ")" for x in elements]
+    cell = CHAIN_CELLS[kind]
+    rows = [[index[tuple(cell(t, a, b) for t, a, b in zip(tops, x, y))] for y in elements] for x in elements]
+    comp = [index[tuple(t - v for t, v in zip(tops, x))] for x in elements]
+    return FiniteAlgebra(kind, names, CayleyTable(rows), index[(0,) * len(sizes)], index[tops], comp)
 
 
 def relabel(alg, perm):

@@ -1,5 +1,4 @@
 import re
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -8,7 +7,7 @@ from bckalg import check_mv, check_wajsberg, fixture_dir, parse_algebra, save_al
 from bckalg import lukasiewicz_chain, wajsberg_to_bck
 from bckalg import cli, golden
 from bckalg.cli import main
-from references import reference_factorizations
+from references import reference_chain_product, reference_factorizations
 
 
 def fx(name):
@@ -155,37 +154,22 @@ def test_enumerate_bck_kind(tmp_path, capsys):
 
 def expected_enumerate_files(n, kind):
     """{file name: text} that ``enumerate --order n --kind kind --out D``
-    writes, rendered here from the chain formulas, sharing no code with the
-    enumeration: element (x1, ..., xk) of the product of chains of sizes
-    r1 <= ... <= rk sits at mixed-radix index ((x1*r2 + x2)*r3 + ...) and
-    is named "(ex1,...,exk)" ("ex1" for one chain); with ti = ri - 1, the
-    wajsberg op is min(ti, ti - xi + yi), the bck op max(0, xi - yi) and
-    the complement ti - xi, all componentwise."""
+    writes, rendered here from ``reference_chain_product``, which shares no
+    code with the enumeration, in the order of ``reference_factorizations``."""
     files = {}
     for sizes in reference_factorizations(n):
-        elements = list(product(*(range(r) for r in sizes)))
-        index = {x: i for i, x in enumerate(elements)}
-        tops = tuple(r - 1 for r in sizes)
-        if len(sizes) == 1:
-            names = [f"e{x[0]}" for x in elements]
-        else:
-            names = ["(" + ",".join(f"e{v}" for v in x) + ")" for x in elements]
-        if kind == "wajsberg":
-            cell = lambda t, a, b: min(t, t - a + b)
-        else:
-            cell = lambda t, a, b: max(0, a - b)
+        alg = reference_chain_product(sizes, kind)
+        names = alg.names
         lines = [
             f"kind: {kind}",
             f"order: {n}",
             "elements: " + " ".join(names),
-            f"zero: {names[index[(0,) * len(sizes)]]}",
-            f"one: {names[index[tops]]}",
-            "complement: " + " ".join(names[index[tuple(t - v for t, v in zip(tops, x))]] for x in elements),
+            f"zero: {names[alg.zero]}",
+            f"one: {names[alg.unit]}",
+            "complement: " + " ".join(names[c] for c in alg.complement),
             "table:",
+            *(" ".join(names[v] for v in row) for row in alg.table.entries),
         ]
-        for x in elements:
-            row = (index[tuple(cell(t, a, b) for t, a, b in zip(tops, x, y))] for y in elements)
-            lines.append(" ".join(names[v] for v in row))
         prefix = "w" if kind == "wajsberg" else "bck"
         files[f"{prefix}{n}_{'x'.join(map(str, sizes))}.alg"] = "\n".join(lines) + "\n"
     return files

@@ -249,3 +249,36 @@ def test_kind_guard_is_stated_once(path):
 )
 def test_kind_guard_checker(source, flagged):
     assert bool(kind_guards(source)) is flagged
+
+
+def trusted_uses(source: str) -> list[str]:
+    """Each read of an attribute named ``trusted``, as in ``CayleyTable.trusted(rows)``."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "trusted"
+    ]
+
+
+def test_only_the_library_builders_skip_the_cell_check():
+    # a table from outside (algfile, cli, new_algebra given raw rows) has its
+    # cells checked; CayleyTable.trusted checks none, so only the modules
+    # that build tables from tables already checked may call it
+    callers = {path.stem for path in MODULES if trusted_uses(path.read_text(encoding="utf-8"))}
+    assert callers == {"enumeration", "golden", "transforms", "substructures"}
+    assert not {"algfile", "cli", "core"} & callers
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("CayleyTable.trusted(rows)", True),
+        ("new_algebra(kind, names, core.CayleyTable.trusted(rows), zero=0)", True),
+        ("build = CayleyTable.trusted\nbuild(rows)", True),
+        ("CayleyTable(rows)", False),
+        ("def trusted(cls, rows):\n    return rows", False),
+        ("trusted = rows", False),
+    ],
+)
+def test_trusted_use_checker(source, flagged):
+    assert bool(trusted_uses(source)) is flagged
