@@ -5,16 +5,16 @@ One algebra is produced per unordered factorization of n into factors >= 2
 ordered chains with those sizes, built by mixed-radix index arithmetic from
 one chain per distinct size.
 Algebra and order isomorphism share one backtracking search,
-``_bijections``, that matches elements by an invariant (table occurrence
-profiles, derived-order degrees), places the scarcest first and prunes
-against what is placed. Each search first rejects on invariants that
-``core`` keeps once per algebra object: ``order_isomorphism`` compares the
+``_bijections``, that matches elements by a key, places the scarcest first
+and prunes against what is placed. The keys are the two invariants ``core``
+keeps once per algebra object: ``order_isomorphism`` keys element x by its
+derived-order degrees, ``order_degrees(a)[x]``, and ``find_isomorphism`` by
+``(occurrence_counts(a)[x], order_degrees(a)[x])``. Each search rejects in
+at most two stages before it searches: both compare the
 ``degree_multiset`` (the sorted ``order_degrees``), and ``find_isomorphism``
-compares it too, then how often each constant occurs in the two tables,
-then the sorted ``occurrence_counts``, and only then builds profiles. n
-stays small, so nothing fancier is warranted. The chain and product tables
-are built in range by construction, so they skip the cell check
-(``CayleyTable.trusted``).
+then compares the sorted keys. n stays small, so nothing fancier is
+warranted. The chain and product tables are built in range by
+construction, so they skip the cell check (``CayleyTable.trusted``).
 """
 
 from __future__ import annotations
@@ -130,16 +130,6 @@ def enumerate_wajsberg(n: int) -> list[FiniteAlgebra]:
     return [_product([chains[r] for r in f.factors]) for f in found]
 
 
-def _occurrence_profiles(entries: tuple[tuple[int, ...], ...], occ: tuple[int, ...]) -> list[tuple]:
-    count = occ.__getitem__
-    return list(zip(
-        occ,
-        (count(row[x]) for x, row in enumerate(entries)),
-        (tuple(sorted(map(count, row))) for row in entries),
-        (tuple(sorted(map(count, col))) for col in zip(*entries)),
-    ))
-
-
 def _bijections(pa: list, pb: list, fixed, fits):
     """Yield, as index tuples, every bijection f with pb[f[x]] == pa[x] for
     each x that extends the fixed (x, f(x)) pairs and passes
@@ -219,14 +209,14 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
         return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
 
     # an isomorphism preserves the table, the constants and the complement,
-    # so it preserves the derived order, and each constant and each element
-    # occurs equally often in both tables
+    # so it preserves the derived order and how often each element occurs in
+    # the table: an element's key is (occurrences, degrees), and the two
+    # stages reject on the sorted degrees, then on the sorted keys; the
+    # search matches keys, and a fixed pair whose keys differ ends it at once
     if degree_multiset(a) != degree_multiset(b):
         return None
-    occ_a, occ_b = occurrence_counts(a), occurrence_counts(b)
-    if any(occ_a[x] != occ_b[y] for x, y in fixed) or sorted(occ_a) != sorted(occ_b):
-        return None
-    pa, pb = _occurrence_profiles(ta, occ_a), _occurrence_profiles(tb, occ_b)
+    pa = list(zip(occurrence_counts(a), order_degrees(a)))
+    pb = list(zip(occurrence_counts(b), order_degrees(b)))
     if sorted(pa) != sorted(pb):
         return None
     return next((f for f in _bijections(pa, pb, fixed, consistent) if verify(f)), None)

@@ -41,6 +41,7 @@ from references import (
     reference_find_isomorphism,
     reference_leq,
     reference_order_isomorphism,
+    relabel,
     relabelled,
     relabelled_chain_product,
 )
@@ -88,12 +89,6 @@ def test_factorization_properties(n):
     assert len(seen) == len(found)
     if n >= 2:
         assert (n,) in seen
-
-
-def test_chain_tables_match_fixtures(corpus):
-    assert lukasiewicz_chain(4).table == corpus["ex3_1_wajsberg"].table
-    assert lukasiewicz_chain(6).table == corpus["ex3_3_wajsberg"].table
-    assert lukasiewicz_chain(8).table == corpus["ex3_6_wajsberg"].table
 
 
 def test_chain_shape():
@@ -255,30 +250,6 @@ def test_enumerated_algebras_pass_wajsberg_axioms(n):
         assert check_wajsberg(a).passed
 
 
-def test_find_isomorphism_rejects_candidates_on_occurrence_counts(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("occurrence profiles built for non-isomorphic candidates")
-
-    candidates = {n: enumerate_wajsberg(n) for n in range(2, 65)}
-    monkeypatch.setattr(enumeration, "_occurrence_profiles", refuse)
-    pairs = 0
-    for algs in candidates.values():
-        for i, a in enumerate(algs):
-            for j, b in enumerate(algs):
-                if i != j:
-                    assert find_isomorphism(a, b) is None
-                    pairs += 1
-    assert pairs == 858
-    monkeypatch.undo()
-    built = counting(monkeypatch, enumeration, "_occurrence_profiles")
-    for algs in candidates.values():
-        for a in algs:
-            f = find_isomorphism(a, a)
-            assert f is not None and check_morphism(f, a, a).passed
-    # the guard above is not vacuous: isomorphic pairs do reach the profiles
-    assert len(built) == 2 * sum(map(len, candidates.values()))
-
-
 def counting(monkeypatch, module, name):
     """Wrap module.name so that each call is recorded; returns the record."""
     calls = []
@@ -292,22 +263,15 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def constant_count(alg, constant):
-    return sum(row.count(constant) for row in alg.table.entries)
-
-
-def test_find_isomorphism_rejects_candidates_on_constant_counts(monkeypatch):
-    # x.y = 1 once per pair x <= y (x*y = 0 under bck), and no two chain
-    # products of one order have equally many comparable pairs
-    # (so the sorted derived-order degrees, compared first, differ as well)
+def test_find_isomorphism_rejects_candidates_on_degrees(monkeypatch):
+    # no two chain products of one order have the same sorted derived-order
+    # degrees, so the first stage rejects every pair of them and no
+    # occurrence count is taken
     def refuse(*args, **kwargs):
-        raise AssertionError("occurrence counts computed for tables whose constants occur unequally often")
+        raise AssertionError("occurrence counts computed for orders whose degrees differ")
 
     wajsberg = {n: enumerate_wajsberg(n) for n in range(2, 65)}
-    bck = {n: [wajsberg_to_bck(a) for a in algs] for n, algs in wajsberg.items() if n <= 32}
-    unbounded = {n: [dataclasses.replace(a, unit=None) for a in algs] for n, algs in bck.items()}
-    a, b = wajsberg[8][0], wajsberg[8][2]
-    assert (constant_count(a, a.unit), constant_count(b, b.unit)) == (36, 27)
+    unbounded = {n: [dataclasses.replace(wajsberg_to_bck(a), unit=None) for a in algs] for n, algs in wajsberg.items()}
     monkeypatch.setattr(core, "_count_occurrences", refuse)
     pairs = 0
     for candidates in (wajsberg, unbounded):
@@ -317,18 +281,48 @@ def test_find_isomorphism_rejects_candidates_on_constant_counts(monkeypatch):
                     if i != j:
                         assert find_isomorphism(a, b) is None
                         pairs += 1
-    assert pairs == 858 + 204
-    a, b = unbounded[8][0], unbounded[8][2]
-    assert b.unit is None and (constant_count(a, a.zero), constant_count(b, b.zero)) == (36, 27)
+    assert pairs == 2 * 858
     monkeypatch.undo()
     counted = counting(monkeypatch, core, "_count_occurrences")
-    for algs in bck.values():
-        for a in algs:
-            b = dataclasses.replace(relabelled(a, seed=a.order), unit=None)
-            assert find_isomorphism(dataclasses.replace(a, unit=None), b) is not None
+    for candidates in (wajsberg, unbounded):
+        for algs in candidates.values():
+            for a in algs:
+                assert find_isomorphism(a, relabelled(a, seed=a.order)) is not None
     # the guard above is not vacuous: isomorphic pairs do reach the counts,
-    # once for each of the two fresh objects
-    assert len(counted) == 2 * sum(map(len, bck.values()))
+    # once for each of the two objects
+    assert len(counted) == 2 * 2 * sum(map(len, wajsberg.values()))
+
+
+@pytest.mark.parametrize(
+    "kind, n, pick, seed, cell, shift",
+    [
+        (Kind.BCK, 12, 0, 15, 31, 3),
+        (Kind.BCK, 24, 2, 13, 526, 2),
+        (Kind.WAJSBERG, 24, 2, 4, 179, 1),
+        (Kind.WAJSBERG, 36, 1, 15, 932, 19),
+        (Kind.MV, 24, 4, 93, 150, 19),
+        (Kind.MV, 36, 6, 80, 298, 1),
+    ],
+    ids=lambda v: v.value if isinstance(v, Kind) else None,
+)
+def test_find_isomorphism_rejects_candidates_on_keys(monkeypatch, kind, n, pick, seed, cell, shift):
+    # the changed cell moves one occurrence between two elements whose counts
+    # differ by one: the sorted counts and the derived order stay, and the
+    # (occurrences, degrees) keys change, since the two degrees differ
+    clean = relabelled_chain_product(kind, n, pick, seed)
+    corrupted = relabelled_chain_product(kind, n, pick, seed, [(cell, shift)])
+    assert sorted(reference_degrees(corrupted)) == sorted(reference_degrees(clean))
+    assert sorted(reference_occurrences(corrupted)) == sorted(reference_occurrences(clean))
+    keys = [sorted(zip(reference_occurrences(alg), reference_degrees(alg))) for alg in (clean, corrupted)]
+    assert keys[0] != keys[1]
+    candidates = [AS_KIND[kind](c) for c in enumerate_wajsberg(n)]
+    searched = counting(monkeypatch, enumeration, "_bijections")
+    for c in candidates:
+        assert find_isomorphism(c, corrupted) is None and find_isomorphism(corrupted, c) is None
+    assert searched == []
+    # the guard above is not vacuous: the clean product does reach the search
+    assert find_isomorphism(candidates[pick], clean) is not None
+    assert len(searched) == 1
 
 
 def test_find_isomorphism_self_map(corpus):
@@ -567,6 +561,56 @@ def test_isomorphism_searches_match_references(kind, n, pick, seed, cell, shift,
         for a, b in ((other, query), (query, other)):
             assert find_isomorphism(a, b) == reference_find_isomorphism(a, b)
             assert order_isomorphism(a, b) == reference_order_isomorphism(a, b)
+
+
+@st.composite
+def arbitrary_algebras(draw, kind, n, bounded):
+    """An order-n table of the given kind with arbitrary cells; only the
+    constants are set so that ``new_algebra`` accepts them, and a bck one is
+    declared iff ``bounded``."""
+    rows = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    names = [f"x{i}" for i in range(n)]
+    zero, one = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind is Kind.MV:
+        complement = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        return new_algebra(kind, names, rows, zero=zero, complement=complement)
+    if kind is Kind.WAJSBERG:
+        # the complement is the zero column, and it takes one to zero
+        rows[one][zero] = zero
+        return new_algebra(kind, names, rows, one=one, complement=[row[zero] for row in rows])
+    if not bounded:
+        return new_algebra(kind, names, rows, zero=zero)
+    for row in rows:
+        row[one] = zero
+    return new_algebra(kind, names, rows, zero=zero, one=one)
+
+
+@st.composite
+def arbitrary_pairs(draw):
+    """An arbitrary table of order 2-5 and either a random relabelling of it
+    or another arbitrary table of the same kind, order and signature."""
+    kind, n, bounded = draw(st.sampled_from(list(Kind))), draw(st.integers(2, 5)), draw(st.booleans())
+    a = draw(arbitrary_algebras(kind, n, bounded))
+    if draw(st.booleans()):
+        return a, relabel(a, draw(st.permutations(range(n))))
+    return a, draw(arbitrary_algebras(kind, n, bounded))
+
+
+# The first complete map the search reaches is the identity. It passes every
+# check made while placing, since 1 is placed before 1 * 1 = 3, and fails
+# the table: f(1 * 1) = 3 while f(1) * f(1) = 2 on the relabelled side.
+TWISTED = new_algebra("bck", "0123", [[0, 2, 2, 3], [0, 3, 0, 0], [0, 0, 3, 2], [0, 0, 3, 2]], zero=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_pairs())
+@example((TWISTED, relabel(TWISTED, [0, 1, 3, 2])))
+def test_isomorphism_searches_match_references_on_arbitrary_tables(pair):
+    # ``bckalg iso`` searches files it does not validate
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        assert find_isomorphism(x, y) == reference_find_isomorphism(x, y)
+        assert order_isomorphism(x, y) == reference_order_isomorphism(x, y)
 
 
 def test_only_readers_of_leq_build_the_order_matrix(monkeypatch):
