@@ -3,18 +3,18 @@
 One algebra is produced per unordered factorization of n into factors >= 2
 (the single-factor decomposition included): the direct product of totally
 ordered chains with those sizes, built by mixed-radix index arithmetic from
-one chain per distinct size.
-Algebra and order isomorphism share one backtracking search,
-``_bijections``, that matches elements by a key, places the scarcest first
-and prunes against what is placed. The keys are the two invariants ``core``
-keeps once per algebra object: ``order_isomorphism`` keys element x by its
-derived-order degrees, ``order_degrees(a)[x]``, and ``find_isomorphism`` by
-``(occurrence_counts(a)[x], order_degrees(a)[x])``. Each search rejects in
-at most two stages before it searches: both compare the
-``degree_multiset`` (the sorted ``order_degrees``), and ``find_isomorphism``
-then compares the sorted keys. n stays small, so nothing fancier is
-warranted. The chain and product tables are built in range by
-construction, so they skip the cell check (``CayleyTable.trusted``).
+one chain per distinct size, in range by construction, so with no cell
+check (``CayleyTable.trusted``). Algebra and order isomorphism share one
+backtracking search, ``_bijections``: it matches elements by an invariant
+key that ``core`` keeps per algebra object, places the scarcest first and
+prunes on the rows of the order view, ``order_relation``. Both searches
+reject on ``degree_multiset`` first. ``order_isomorphism`` keys x by
+``order_degrees(a)[x]`` and compares where the mark is; ``find_isomorphism``
+keys x by ``(occurrence_counts(a)[x], order_degrees(a)[x])``, rejects on
+the sorted keys and compares cell values: the table for bck and wajsberg,
+x' + y (the Wajsberg implication) for mv. Zero is placed first, so the
+view's zero column, x' (for mv where x + 0 = x), checks the complement in
+the search; a complete map is checked in full. n is small, so no more is needed.
 """
 
 from __future__ import annotations
@@ -185,7 +185,18 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
     n = a.order
     if b.order != n:
         return None
-    ta, tb = a.table.entries, b.table.entries
+    # an isomorphism preserves the table, the constants and the complement,
+    # so the derived order and each element's occurrences in the table: the
+    # key is (occurrences, degrees), rejected on sorted degrees, then sorted
+    # keys; the search matches keys, prunes on the order view and stops at
+    # once on a fixed pair whose keys differ; verify checks everything
+    if degree_multiset(a) != degree_multiset(b):
+        return None
+    pa = list(zip(occurrence_counts(a), order_degrees(a)))
+    pb = list(zip(occurrence_counts(b), order_degrees(b)))
+    if sorted(pa) != sorted(pb):
+        return None
+    ta, tb = order_relation(a).rows, order_relation(b).rows
     match_complement = a.kind is not Kind.BCK
     ca, cb = a.complement, b.complement
     fixed = [(a.zero, b.zero)] if None in (a.unit, b.unit) else [(a.zero, b.zero), (a.unit, b.unit)]
@@ -201,24 +212,13 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
             r = f[ta[u][x]]
             if r != -1 and tb[v][y] != r:
                 return False
-        return not match_complement or f[ca[x]] == -1 or cb[y] == f[ca[x]]
+        return True
 
     def verify(f: tuple[int, ...]) -> bool:
         if not check_morphism(f, a, b).passed:
             return False
         return not match_complement or all(f[ca[x]] == cb[f[x]] for x in range(n))
 
-    # an isomorphism preserves the table, the constants and the complement,
-    # so it preserves the derived order and how often each element occurs in
-    # the table: an element's key is (occurrences, degrees), and the two
-    # stages reject on the sorted degrees, then on the sorted keys; the
-    # search matches keys, and a fixed pair whose keys differ ends it at once
-    if degree_multiset(a) != degree_multiset(b):
-        return None
-    pa = list(zip(occurrence_counts(a), order_degrees(a)))
-    pb = list(zip(occurrence_counts(b), order_degrees(b)))
-    if sorted(pa) != sorted(pb):
-        return None
     return next((f for f in _bijections(pa, pb, fixed, consistent) if verify(f)), None)
 
 

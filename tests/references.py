@@ -191,8 +191,6 @@ def reference_find_isomorphism(a, b):
     n = a.order
     if b.order != n:
         return None
-    if (a.unit is None) != (b.unit is None):
-        return None
     ta, tb = a.table.entries, b.table.entries
     pa, pb = reference_profiles(ta), reference_profiles(tb)
     if sorted(pa) != sorted(pb):
@@ -212,7 +210,8 @@ def reference_find_isomorphism(a, b):
 
     if not assign(a.zero, b.zero):
         return None
-    if a.unit is not None:
+    # a one is pinned only when both sides declare it, as the library specifies
+    if None not in (a.unit, b.unit):
         if f[a.unit] != -1:
             if f[a.unit] != b.unit:
                 return None

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from bckalg import check_mv, check_wajsberg, fixture_dir, parse_algebra, save_algebra
-from bckalg import lukasiewicz_chain, wajsberg_to_bck
+from bckalg import check_morphism, check_mv, check_wajsberg, fixture_dir, parse_algebra, save_algebra
+from bckalg import direct_product, lukasiewicz_chain, wajsberg_to_bck, wajsberg_to_mv
 from bckalg import cli, golden
 from bckalg.cli import main
-from references import reference_chain_product, reference_factorizations
+from references import reference_chain_product, reference_factorizations, relabelled
 
 
 def fx(name):
@@ -272,6 +272,22 @@ def test_iso_pairs_a_file_with_its_copy_without_one(tmp_path, capsys):
     for pair in ([fx("ex3_1_bck.alg"), str(bare)], [str(bare), fx("ex3_1_bck.alg")]):
         assert main(["iso", *pair]) == 0
         assert capsys.readouterr().out == "O -> O\nA -> A\nB -> B\nE -> E\n"
+
+
+def test_iso_maps_an_mv_product_onto_its_relabelling(tmp_path, capsys):
+    # the corpus has no mv file; 4x4x8 read as mv has large classes of equal keys
+    a = wajsberg_to_mv(direct_product([lukasiewicz_chain(r) for r in (4, 4, 8)]))
+    b = relabelled(a, seed=7)
+    paths = [str(tmp_path / "a_mv.alg"), str(tmp_path / "b_mv.alg")]
+    save_algebra(a, paths[0])
+    save_algebra(b, paths[1])
+    assert main(["iso", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 128
+    image = dict(line.split(" -> ") for line in lines)
+    f = tuple(b.index(image[name]) for name in a.names)
+    assert check_morphism(f, a, b).passed
+    assert all(f[a.complement[x]] == b.complement[f[x]] for x in range(a.order))
 
 
 def test_iso_non_isomorphic(capsys):

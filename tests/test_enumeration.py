@@ -392,6 +392,32 @@ def test_find_isomorphism_refuses_fixed_pairs_that_conflict(monkeypatch):
     assert len(searched) == 1
 
 
+def test_mv_search_makes_the_wajsberg_search(monkeypatch):
+    # x' + y is x -> y, so the order view of a product read as mv is its
+    # wajsberg table: both readings place and check alike, check for check
+    checks = []
+    real = enumeration._bijections
+
+    def search(pa, pb, fixed, fits):
+        def counted(*args):
+            checks.append(args[1])
+            return fits(*args)
+
+        return real(pa, pb, fixed, counted)
+
+    monkeypatch.setattr(enumeration, "_bijections", search)
+    products = [a for n in range(2, 65) for a in enumerate_wajsberg(n)]
+    products.append(direct_product([lukasiewicz_chain(4), lukasiewicz_chain(4), lukasiewicz_chain(8)]))
+    for a in products:
+        b = relabelled(a, seed=a.order)
+        found = []
+        for read in (lambda w: w, wajsberg_to_mv):
+            checks.clear()
+            found.append((find_isomorphism(read(a), read(b)), len(checks)))
+        assert found[0][0] is not None
+        assert found[0] == found[1], a.names[-1]
+
+
 def mv_family(complement):
     """An mv-kind table with x + 0 = 0 + x = x and every other sum 1, over
     the given complement. Only the complement tells such tables apart, and
@@ -408,12 +434,14 @@ def mv_family(complement):
         # without the complement checks, all (n - 2)! = 24 maps of the middle reach check_morphism
         ((1, 0, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4)),
         ((1, 0, 3, 2, 5, 4), (1, 0, 2, 3, 4, 5)),
-        # not involutions: the check f(x') = f(x)' for an x' placed before x prunes
+        # not involutions: f(x') = f(x)' for an x' placed before x is checked in the zero column
         ((1, 0, 2, 2), (1, 0, 2, 3)),
     ],
     ids=["fixed-swapped", "swapped-fixed", "x-after-its-complement"],
 )
 def test_find_isomorphism_prunes_on_the_complement(monkeypatch, ca, cb):
+    # the search prunes on the order view, x' + y, whose zero column is x' here,
+    # since x + 0 = x; zero is placed first, so placing x checks f(x') = f(x)'
     a, b = mv_family(ca), mv_family(cb)
     assert (order_degrees(a), occurrence_counts(a)) == (order_degrees(b), occurrence_counts(b))
     checked = counting(monkeypatch, enumeration, "check_morphism")
@@ -423,9 +451,9 @@ def test_find_isomorphism_prunes_on_the_complement(monkeypatch, ca, cb):
 
 def test_find_isomorphism_leaves_a_complement_that_is_no_involution_to_verify(monkeypatch):
     # 2' = 3' = 3 on one side: the search checks f(x') = f(x)' as it places x,
-    # which for involutions also covers every placed u with u' = x; here the
-    # two maps that fix 0 and 1 pass the table and are refused by the full
-    # complement check after check_morphism
+    # in the zero column of the order view, which for involutions also covers
+    # every placed u with u' = x; here the two maps that fix 0 and 1 pass the
+    # table and are refused by the full complement check after check_morphism
     a, b = mv_family((1, 0, 3, 3)), mv_family((1, 0, 2, 3))
     assert (order_degrees(a), occurrence_counts(a)) == (order_degrees(b), occurrence_counts(b))
     checked = counting(monkeypatch, enumeration, "check_morphism")
@@ -588,12 +616,17 @@ def arbitrary_algebras(draw, kind, n, bounded):
 @st.composite
 def arbitrary_pairs(draw):
     """An arbitrary table of order 2-5 and either a random relabelling of it
-    or another arbitrary table of the same kind, order and signature."""
+    or another arbitrary table of the same kind, order and signature; a bck
+    second side may have its declared one dropped."""
     kind, n, bounded = draw(st.sampled_from(list(Kind))), draw(st.integers(2, 5)), draw(st.booleans())
     a = draw(arbitrary_algebras(kind, n, bounded))
     if draw(st.booleans()):
-        return a, relabel(a, draw(st.permutations(range(n))))
-    return a, draw(arbitrary_algebras(kind, n, bounded))
+        b = relabel(a, draw(st.permutations(range(n))))
+    else:
+        b = draw(arbitrary_algebras(kind, n, bounded))
+    if kind is Kind.BCK and bounded and draw(st.booleans()):
+        b = dataclasses.replace(b, unit=None)
+    return a, b
 
 
 # The first complete map the search reaches is the identity. It passes every
