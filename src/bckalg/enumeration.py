@@ -12,9 +12,9 @@ reject on ``degree_multiset`` first. ``order_isomorphism`` keys x by
 ``order_degrees(a)[x]`` and compares where the mark is; ``find_isomorphism``
 keys x by ``(occurrence_counts(a)[x], order_degrees(a)[x])``, rejects on
 the sorted keys and compares cell values: the table for bck and wajsberg,
-x' + y (the Wajsberg implication) for mv. Zero is placed first, so the
-view's zero column, x' (for mv where x + 0 = x), checks the complement in
-the search; a complete map is checked in full. n is small, so no more is needed.
+x' + y (the Wajsberg implication) for mv, and checks f(x') = f(x)' as it
+places x: the view's zero column, x', already does on valid tables, not on
+unvalidated mv tables with x + 0 != x. A complete map is checked in full.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
     # an isomorphism preserves the table, the constants and the complement,
     # so the derived order and each element's occurrences in the table: the
     # key is (occurrences, degrees), rejected on sorted degrees, then sorted
-    # keys; the search matches keys, prunes on the order view and stops at
-    # once on a fixed pair whose keys differ; verify checks everything
+    # keys; the search matches keys, prunes on the order view and the
+    # complement, and stops at a fixed pair whose keys differ; verify checks all
     if degree_multiset(a) != degree_multiset(b):
         return None
     pa = list(zip(occurrence_counts(a), order_degrees(a)))
@@ -212,7 +212,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | No
             r = f[ta[u][x]]
             if r != -1 and tb[v][y] != r:
                 return False
-        return True
+        return not match_complement or f[ca[x]] == -1 or cb[y] == f[ca[x]]
 
     def verify(f: tuple[int, ...]) -> bool:
         if not check_morphism(f, a, b).passed:
