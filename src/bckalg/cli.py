@@ -29,11 +29,13 @@ from .algfile import fixture_dir, load_algebra, render_algebra, save_algebra
 from .golden import run_check_paper
 
 
-# Largest order `enumerate` accepts, checked before anything is built. The
-# wajsberg products alone are cheap (order 256 in about 0.2 s), but with
-# `--kind bck` each one goes through `wajsberg_to_bck`, whose axiom check
-# scans N**3 triples (the 15 order-128 products take about 2.3 s to translate,
-# against 0.06 s to build), so a mistyped order would otherwise run for hours.
+# Largest order `enumerate` accepts, checked before anything is built. It
+# bounds the output, which holds one N x N table per factorization of N (22
+# tables of 65,536 cells at 256), so a mistyped order cannot fill memory or
+# disk. Building is cheap at every order up to the cap, and so is `--kind bck`:
+# `wajsberg_to_bck` checks its source by the chain-product certificate, not by
+# scanning N**3 triples (order 256, in-process: about 0.13 s to build the 22
+# products and 0.8 s to translate them).
 # At least every order the tests, the scripts and the benchmark use (128 at most).
 MAX_ENUMERATE_ORDER = 256
 

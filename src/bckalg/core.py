@@ -11,11 +11,22 @@ from outside enters, by itself or through ``new_algebra`` given raw rows.
 tables whose cells are lookups into tables that were already checked.
 
 The derived order has one view, ``OrderRelation``: rows and a mark with x <= y
-iff ``rows[x][y] == mark``, read off the table; its bool matrix is built lazily.
-An algebra object is immutable, so the two O(n) isomorphism invariants
-the searches compare, ``order_degrees`` and ``occurrence_counts``, are
-counted once per object, on first use, and kept as tuples, and so is the
-sorted ``degree_multiset``.
+iff ``rows[x][y] == mark``, read off the table; its bool matrix is built only
+when read. An algebra object is immutable, so what is read off its table is
+computed once per object, on first use, and kept on it: the view, the two O(n)
+isomorphism invariants the searches compare (``order_degrees`` and
+``occurrence_counts``) and the sorted ``degree_multiset``, and the structure
+theorem's reading of the table.
+
+That reading is here and nowhere else. Every finite MV (so Wajsberg) algebra is
+a product of finite Lukasiewicz chains, and bounded commutative BCK algebras
+are MV algebras in another signature. ``chain_coordinates`` reads the chains
+off the derived order, ``chain_product_rows`` builds a chain product of any
+kind on given coordinates, ``chain_rebuild`` is that product on an algebra's
+own coordinates, and ``is_chain_product`` is the certificate that the table
+equals it, in O(n^2 k) for k chains: the axiom checkers pass a certified table
+of their kind without scanning n^3 triples, and the misprint diagnosis
+compares a table that fails with its rebuild.
 """
 
 from __future__ import annotations
@@ -23,8 +34,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial, reduce
+from itertools import chain, compress
+from math import prod
+from operator import and_, getitem, sub
 from typing import Iterable, Sequence
 
 
@@ -135,8 +148,17 @@ class FiniteAlgebra:
         return self.table.order
 
     @cached_property
+    def _order(self) -> OrderRelation:
+        t = self.table.entries
+        if self.kind is Kind.BCK:
+            return OrderRelation(t, self.zero)
+        if self.kind is Kind.WAJSBERG:
+            return OrderRelation(t, self.unit)
+        return OrderRelation(tuple(t[cx] for cx in self.complement), self.unit)
+
+    @cached_property
     def _degrees(self) -> tuple[tuple[int, int], ...]:
-        rel = order_relation(self)
+        rel = self._order
         return tuple((col.count(rel.mark), row.count(rel.mark)) for col, row in zip(zip(*rel.rows), rel.rows))
 
     @cached_property
@@ -146,6 +168,29 @@ class FiniteAlgebra:
     @cached_property
     def _occurrences(self) -> tuple[int, ...]:
         return _count_occurrences(self.table.entries)
+
+    @cached_property
+    def _coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+        return _read_chains(self)
+
+    @cached_property
+    def _rebuilt(self) -> tuple[tuple[int, ...], ...] | None:
+        found = self._coordinates
+        return None if found is None else chain_product_rows(*found, self.kind)
+
+    @cached_property
+    def _certified(self) -> bool:
+        found = self._coordinates
+        if found is None:
+            return False
+        tops, coords = found
+        c = self.complement
+        return (
+            not any(coords[self.zero])
+            and (self.unit is None or coords[self.unit] == tops)
+            and (self.kind is Kind.BCK or all(coords[cx] == tuple(map(sub, tops, x)) for x, cx in zip(coords, c)))
+            and self.table.entries == self._rebuilt
+        )
 
     def op(self, x: int, y: int) -> int:
         return self.table.entries[x][y]
@@ -218,15 +263,16 @@ def new_algebra(
 @dataclass(frozen=True)
 class OrderRelation:
     """A derived order, x <= y iff ``rows[x][y] == mark`` (see ``order_relation``);
-    ``leq``, the bool matrix with ``leq[x][y]`` being x <= y, is built on first read.
+    ``leq``, the bool matrix with ``leq[x][y]`` being x <= y, is built on each read, so
+    the view that an algebra keeps does not keep it too.
     ``==`` compares the views (rows and mark): for "same order" compare ``.leq`` or use ``poset_isomorphic``."""
 
     rows: tuple[tuple[int, ...], ...]
     mark: int
 
-    @cached_property
+    @property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(tuple(v == self.mark for v in row) for row in self.rows)
+        return tuple(tuple(map(self.mark.__eq__, row)) for row in self.rows)
 
     @property
     def order(self) -> int:
@@ -240,15 +286,11 @@ class OrderRelation:
 
 
 def order_relation(alg: FiniteAlgebra) -> OrderRelation:
-    """The derived order as an O(n) view of the table: x <= y iff x*y = 0 (bck),
-    x.y = 1 (wajsberg), x' + y = 1 (mv: row x is the row of x'). No axiom
-    validation, so this also works on defective tables under diagnosis."""
-    t = alg.table.entries
-    if alg.kind is Kind.BCK:
-        return OrderRelation(t, alg.zero)
-    if alg.kind is Kind.WAJSBERG:
-        return OrderRelation(t, alg.unit)
-    return OrderRelation(tuple(t[cx] for cx in alg.complement), alg.unit)
+    """The derived order as an O(n) view of the table, built once per algebra
+    object: x <= y iff x*y = 0 (bck), x.y = 1 (wajsberg), x' + y = 1 (mv: row x
+    is the row of x'). No axiom validation, so this also works on defective
+    tables under diagnosis."""
+    return alg._order
 
 
 def order_degrees(alg: FiniteAlgebra) -> tuple[tuple[int, int], ...]:
@@ -270,6 +312,87 @@ def _count_occurrences(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 def occurrence_counts(alg: FiniteAlgebra) -> tuple[int, ...]:
     """How often each element occurs in the table, counted once per algebra object."""
     return alg._occurrences
+
+
+def _read_chains(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    leq = order_relation(alg).leq
+    n = alg.order
+    cols = list(zip(*leq))
+    h = [down for down, _ in order_degrees(alg)]
+    irreducible = [x for x in range(n) if h[x] - 1 in map(h.__getitem__, compress(range(n), cols[x]))]
+    chains = [[j for j in irreducible if leq[a][j]] for a in range(n) if h[a] == 2]
+    if prod(len(members) + 1 for members in chains) != n:
+        return None
+    coords = tuple(tuple(sum(map(col.__getitem__, members)) for members in chains) for col in cols)
+    if len(set(coords)) != n:
+        return None
+    # x <= y in the product iff, for each i, y is among the elements whose coordinate i is at least x's
+    tops = tuple(map(len, chains))
+    at_least = [[tuple(map(v.__le__, col)) for v in range(t + 1)] for t, col in zip(tops, zip(*coords))]
+    product_leq = (reduce(partial(map, and_), map(getitem, at_least, cx), (True,) * n) for cx in coords)
+    return (tops, coords) if leq == tuple(map(tuple, product_leq)) else None
+
+
+def chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """(tops, coords) with x -> coords[x] an isomorphism from the derived
+    order of ``alg`` onto the product of the chains 0 < ... < tops[i], or None;
+    read once per algebra object.
+    Birkhoff: with h[x] = |down-set of x|, x is join-irreducible iff some
+    y <= x has h[y] = h[x] - 1; those above atom i form chain i less its
+    bottom, and coordinate i of x counts those below x. The result is then
+    checked in full: distinct coordinates filling the product, same order.
+    Unique up to swapping chains of equal length."""
+    return alg._coordinates
+
+
+# The Lukasiewicz chain 0 < 1 < ... < t as a cell formula per kind. The
+# enumeration and the tests build their chains from formulas of their own, so
+# that a wrong formula here is not confirmed by the products built from it.
+_CHAIN_OPS = {
+    Kind.WAJSBERG: lambda t, a, b: min(t, t - a + b),
+    Kind.BCK: lambda t, a, b: max(0, a - b),
+    Kind.MV: lambda t, a, b: min(t, a + b),
+}
+
+
+def chain_product_rows(
+    tops: Sequence[int], coords: Sequence[Sequence[int]], kind: Kind | str
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of the product of the chains 0 < ... < tops[i], read as
+    ``kind``, on a carrier whose element x has the coordinates coords[x],
+    which must fill the product once each. Coordinate i of x op y is the
+    chain formula at coordinates i of x and y: wajsberg min(t, t - a + b),
+    bck max(0, a - b), mv min(t, a + b). Each chain is folded in by
+    mixed-radix index arithmetic, u*k + v, as in a direct product, and the
+    result is read back onto the carrier in one pass. The rows are plain:
+    no ``CayleyTable`` is built here."""
+    cell = _CHAIN_OPS[Kind(kind)]
+    table, index = [[0]], [0] * len(coords)
+    for i, t in enumerate(tops):
+        k = t + 1
+        cells = [[cell(t, a, b) for b in range(k)] for a in range(k)]
+        table = [[u * k + v for u in ra for v in rb] for ra in table for rb in cells]
+        index = [u * k + c[i] for u, c in zip(index, coords)]
+    element = sorted(range(len(coords)), key=index.__getitem__)
+    return tuple(tuple([element[r[j]] for j in index]) for r in map(table.__getitem__, index))
+
+
+def chain_rebuild(alg: FiniteAlgebra) -> tuple[tuple[int, ...], ...] | None:
+    """``chain_product_rows`` of ``alg``'s own kind on its ``chain_coordinates``,
+    or None without coordinates; built once per algebra object."""
+    return alg._rebuilt
+
+
+def is_chain_product(alg: FiniteAlgebra) -> bool:
+    """Whether the table is its own ``chain_rebuild``, with zero at 0...0, a
+    declared one at the tops and, for wajsberg and mv, complement(x) at
+    tops - x; decided once per algebra object in O(n^2 k) for k chains. Such
+    a table is a relabelled chain product, so it satisfies every axiom of its
+    kind, and bck tables also commutativity and boundedness. Conversely every
+    valid Wajsberg or MV table and every bounded commutative BCK table is one
+    (Cignoli, D'Ottaviano and Mundici 2000; Mundici 1986), since the rebuild
+    is unique. Other BCK tables are not."""
+    return alg._certified
 
 
 def require_kind(alg: FiniteAlgebra, kind: Kind, taker: str) -> None:

@@ -24,12 +24,10 @@ property does not hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from operator import le
 from pathlib import Path
 
-from .core import (AlgebraError, CayleyTable, FiniteAlgebra, Kind, bound_element, new_algebra, order_degrees,
-                   order_relation, require_kind)
+from .core import (AlgebraError, CayleyTable, FiniteAlgebra, Kind, bound_element, chain_coordinates, chain_rebuild,
+                   new_algebra, require_kind)
 from .axioms import VerificationReport, check_bck, check_wajsberg, format_violation, is_commutative
 from .transforms import bck_to_mv, mv_to_bck, mv_to_wajsberg, wajsberg_to_bck, wajsberg_to_mv
 from .substructures import ideals, subalgebras
@@ -96,32 +94,11 @@ class Diagnosis:
     report: VerificationReport
 
 
-def _chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
-    """(tops, coords) with x -> coords[x] an isomorphism from the derived
-    order of ``alg`` onto the product of the chains 0 < ... < tops[i], or None.
-    Birkhoff: with h[x] = |down-set of x|, x is join-irreducible iff some
-    y <= x has h[y] = h[x] - 1; those above atom i form chain i less its
-    bottom, and coordinate i of x counts those below x. The result is then
-    checked in full: distinct coordinates filling the product, same order."""
-    leq = order_relation(alg).leq
-    n = alg.order
-    cols = list(zip(*leq))
-    h = [down for down, _ in order_degrees(alg)]
-    irreducible = [x for x in range(n) if any(b and h[y] == h[x] - 1 for y, b in enumerate(cols[x]))]
-    chains = [[j for j in irreducible if leq[a][j]] for a in range(n) if h[a] == 2]
-    if prod(len(chain) + 1 for chain in chains) != n:
-        return None
-    coords = [tuple(sum(col[j] for j in chain) for chain in chains) for col in cols]
-    if len(set(coords)) == n and leq == tuple(tuple(all(map(le, cx, cy)) for cy in coords) for cx in coords):
-        return tuple(map(len, chains)), coords
-    return None
-
-
 def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     """Locate suspected misprints in a stored wajsberg table.
 
     A clean table diagnoses to itself. Otherwise the table is rebuilt from
-    the chain coordinates of its derived order (``_chain_coordinates``),
+    the chain coordinates of its derived order (``core.chain_rebuild``),
     coordinate i of x.y being min(t, t - x_i + y_i) on a chain with top t,
     and every cell where the two differ is flagged. With no coordinates, or
     the stored zero or one off the bottom or top, it cannot be diagnosed.
@@ -136,21 +113,10 @@ def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     report = check_wajsberg(alg)
     if report.passed:
         return Diagnosis(alg, (), report)
-    found = _chain_coordinates(alg)
+    found = chain_coordinates(alg)
     if found is None or any(found[1][alg.zero]) or found[1][alg.unit] != found[0]:
         return Diagnosis(None, (), report)
-    tops, coords = found
-    # the chain product on mixed-radix indices, each chain folded in by u*k + v
-    # as in a direct product, then read back onto the carrier in one pass
-    table, index = [[0]], [0] * alg.order
-    for i, t in enumerate(tops):
-        k = t + 1
-        chain = [[min(t, t - a + b) for b in range(k)] for a in range(k)]
-        table = [[u * k + v for u in ra for v in rb] for ra in table for rb in chain]
-        index = [u * k + c[i] for u, c in zip(index, coords)]
-    element = sorted(range(alg.order), key=index.__getitem__)
-    rows = [[element[r[j]] for j in index] for r in (table[i] for i in index)]
-    corrected = new_algebra(Kind.WAJSBERG, alg.names, CayleyTable.trusted(rows), one=alg.unit)
+    corrected = new_algebra(Kind.WAJSBERG, alg.names, CayleyTable.trusted(chain_rebuild(alg)), one=alg.unit)
     return Diagnosis(corrected, cell_mismatches(alg, corrected), report)
 
 

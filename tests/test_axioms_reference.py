@@ -9,8 +9,10 @@ from chain products of all three kinds with up to two corrupted cells, and
 from arbitrary small tables.
 """
 
+import dataclasses
 from itertools import product
 from typing import Callable, Mapping, Sequence
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,9 +32,12 @@ from bckalg import (
     is_commutative,
     is_implicative,
     is_positive_implicative,
+    iseki_extension,
     new_algebra,
     wajsberg_to_mv,
 )
+from bckalg import axioms
+from bckalg.core import is_chain_product
 from references import relabelled_chain_product
 
 # -- reference ------------------------------------------------------------
@@ -258,3 +263,125 @@ def test_morphism_reports_match_reference(n, m, seed, images):
         copy = relabelled_chain_product(Kind.BCK, n, seed, seed >> 4)
         assert check_morphism(iso, source, copy) == ref_check_morphism(iso, source, copy)
         assert check_morphism(iso, source, copy).passed
+
+
+# -- certificate ----------------------------------------------------------
+# From axioms._CERTIFY_FROM up, a checker of a kind's axioms passes a table of
+# that kind that is a chain product (core.is_chain_product) without a scan.
+# The reports must still equal the reference's, and every table that is no
+# chain product of the checker's kind must reach the kernels.
+
+BCK_AXIOMS = {"bci-1", "bci-2", "bci-3", "bci-4", "bck-5"}
+
+
+def kernel_calls(monkeypatch):
+    """Record the axiom of each kernel a checker runs from now on."""
+    calls = []
+    real = axioms._kernel
+
+    def record(axiom):
+        calls.append(axiom)
+        return real(axiom)
+
+    monkeypatch.setattr(axioms, "_kernel", record)
+    return calls
+
+
+def with_complement_changed(alg, flips):
+    """alg with complement entry x moved by 1 + shift for each (x, shift); the
+    entry its kind ties to a constant (wajsberg one, mv zero) is left alone."""
+    n, c = alg.order, list(alg.complement)
+    tied = alg.unit if alg.kind is Kind.WAJSBERG else alg.zero
+    for x, shift in flips:
+        if x % n != tied:
+            c[x % n] = (c[x % n] + 1 + shift % (n - 1)) % n
+    return dataclasses.replace(alg, complement=c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from([Kind.WAJSBERG, Kind.BCK, Kind.MV]),
+    n=st.integers(2, 32),
+    pick=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    changes=st.lists(st.tuples(st.booleans(), st.integers(0, 1023), st.integers(0, 30)), max_size=2),
+)
+@example(kind=Kind.WAJSBERG, n=32, pick=3, seed=5, changes=[])
+@example(kind=Kind.MV, n=24, pick=2, seed=1, changes=[(False, 7, 4)])
+@example(kind=Kind.WAJSBERG, n=18, pick=1, seed=2, changes=[(False, 5, 0)])
+@example(kind=Kind.BCK, n=30, pick=4, seed=3, changes=[(True, 300, 2), (False, 9, 1)])
+def test_certified_reports_match_reference_on_corrupted_chain_products(kind, n, pick, seed, changes):
+    # table cells (True) and complement entries (False) changed; every order is
+    # certified here, so each checker of the table's kind asks the certificate first
+    alg = relabelled_chain_product(kind, n, pick, seed, [(cell, shift) for table, cell, shift in changes if table])
+    alg = with_complement_changed(alg, [(x, shift) for table, x, shift in changes if not table])
+    assert changes or is_chain_product(alg)
+    with patch.object(axioms, "_CERTIFY_FROM", 2):
+        assert_same_reports(alg)
+
+
+@pytest.mark.parametrize("kind, check", [(Kind.WAJSBERG, check_wajsberg), (Kind.MV, check_mv),
+                                         (Kind.BCK, check_bck), (Kind.BCK, is_commutative)],
+                         ids=["wajsberg", "mv", "bck", "commutative"])
+def test_chain_products_are_certified_from_the_order_floor(monkeypatch, kind, check):
+    calls = kernel_calls(monkeypatch)
+    at = relabelled_chain_product(kind, axioms._CERTIFY_FROM, 1, 3)
+    assert check(at).passed and calls == []
+    below = relabelled_chain_product(kind, axioms._CERTIFY_FROM - 1, 1, 3)
+    assert check(below).passed and calls
+
+
+@pytest.mark.parametrize("one, certified", [("top", True), ("none", True), ("off-top", False)])
+def test_bck_chain_products_with_and_without_a_declared_one(monkeypatch, one, certified):
+    # check_bck never reads the one, so a missing one or one off the top makes
+    # no difference to the report; only a one off the top blocks the certificate
+    alg = relabelled_chain_product(Kind.BCK, 24, 2, 5)
+    alg = dataclasses.replace(alg, unit={"top": alg.unit, "none": None, "off-top": alg.zero}[one])
+    assert is_chain_product(alg) is certified
+    calls = kernel_calls(monkeypatch)
+    for new, ref in ((check_bck, ref_check_bck), (is_commutative, ref_is_commutative)):
+        assert new(alg) == ref(alg) == VerificationReport(ref(alg).checked, ())
+    assert set(calls) == (set() if certified else BCK_AXIOMS | {"commutative"})
+
+
+@pytest.mark.parametrize("kind", [Kind.MV, Kind.WAJSBERG], ids=lambda k: k.value)
+def test_a_complement_off_the_coordinates_reaches_the_kernels(monkeypatch, kind):
+    alg = relabelled_chain_product(kind, 24, 1, 8)
+    tied = alg.unit if kind is Kind.WAJSBERG else alg.zero
+    x, y = [v for v in range(alg.order) if v not in (tied, alg.complement[tied])][:2]
+    c = list(alg.complement)
+    c[x], c[y] = c[y], c[x]
+    bad = dataclasses.replace(alg, complement=c)
+    assert is_chain_product(alg) and not is_chain_product(bad)
+    calls = kernel_calls(monkeypatch)
+    (check, ref), = KIND_CHECKERS[kind]
+    assert check(bad) == ref(bad) and not check(bad).passed
+    assert calls
+
+
+def hostile_bck(n):
+    """0*x = 0, x*x = 0, x*y = x otherwise: a valid bck algebra whose nonzero
+    elements are pairwise incomparable, so no chain product past order 2."""
+    return new_algebra("bck", [f"a{i}" for i in range(n)], [[0 if x in (0, y) else x for y in range(n)]
+                                                            for x in range(n)], zero=0)
+
+
+@pytest.mark.parametrize("build", [lambda: iseki_extension(relabelled_chain_product(Kind.BCK, 16, 2, 4)),
+                                   lambda: hostile_bck(20)], ids=["iseki", "hostile"])
+def test_bck_tables_that_are_no_chain_product_reach_the_kernels(monkeypatch, build):
+    alg = build()
+    assert not is_chain_product(alg)
+    calls = kernel_calls(monkeypatch)
+    assert check_bck(alg) == ref_check_bck(alg) and check_bck(alg).passed
+    assert is_commutative(alg) == ref_is_commutative(alg)
+    assert set(calls) == BCK_AXIOMS | {"commutative"}
+
+
+@pytest.mark.parametrize("kind", [Kind.WAJSBERG, Kind.MV], ids=lambda k: k.value)
+def test_bck_checkers_never_certify_other_kinds(monkeypatch, kind):
+    alg = relabelled_chain_product(kind, 32, 3, 9)
+    assert is_chain_product(alg)
+    calls = kernel_calls(monkeypatch)
+    assert check_bck(alg) == ref_check_bck(alg) and not check_bck(alg).passed
+    assert is_commutative(alg) == ref_is_commutative(alg)
+    assert set(calls) == BCK_AXIOMS | {"commutative"}

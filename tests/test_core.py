@@ -22,6 +22,7 @@ from bckalg import (
     render_algebra,
     wajsberg_to_mv,
 )
+from bckalg.core import order_relation
 from references import TWO_CHAIN, trivial, two_chain
 
 # two incomparable atoms over zero; passes every bck axiom but has no top
@@ -87,6 +88,13 @@ def test_derived_order_diamond(corpus):
     assert not leq.holds(1, 2) and not leq.holds(2, 1)
     assert all(leq.holds(x, x) for x in range(4))
     assert leq.top() == 3
+
+
+def test_order_view_is_built_once_per_algebra(corpus):
+    for alg in corpus.values():
+        assert order_relation(alg) is order_relation(alg)
+    bck = corpus["ex3_1_bck"]
+    assert order_relation(dataclasses.replace(bck)) is not order_relation(bck)
 
 
 def test_derived_order_trivial():

@@ -27,6 +27,7 @@ from bckalg import (
     factorizations,
     new_algebra,
 )
+from bckalg import core
 from bckalg.golden import cell_mismatches, diagnose_wajsberg
 from references import AS_KIND, reference_leq, reference_poset_isos, relabelled_chain_product
 
@@ -97,7 +98,7 @@ def test_pinned_examples_cover_both_outcomes():
     [(2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (4, 4, 4), (2, 4, 8), (2, 3, 4), (3, 3, 4), (5, 8)],
     ids=lambda fs: "x".join(map(str, fs)),
 )
-def test_diagnosis_restores_one_corrupted_cell_beyond_the_reference(factors):
+def test_diagnosis_restores_one_corrupted_cell_beyond_the_reference(monkeypatch, factors):
     # too large for the exhaustive reference; chains of unequal length make
     # the rebuild's mixed-radix order matter
     n = prod(factors)
@@ -109,8 +110,12 @@ def test_diagnosis_restores_one_corrupted_cell_beyond_the_reference(factors):
     new = rng.choice([v for v in range(n) if v not in (one, t[x][y])])
     rows = [list(row) for row in t]
     rows[x][y] = new
+    builds, build = [], core.chain_product_rows
+    monkeypatch.setattr(core, "chain_product_rows", lambda *args: builds.append(args) or build(*args))
     diag = diagnose_wajsberg(dataclasses.replace(clean, table=CayleyTable(rows)))
     assert not diag.report.passed
+    # check_wajsberg asked the certificate first, and the diagnosis read the rebuild it made
+    assert len(builds) == 1
     assert diag.corrected == clean
     nm = clean.names
     assert [(c.row, c.col, c.stored, c.expected) for c in diag.cells] == [(nm[x], nm[y], nm[new], nm[t[x][y]])]
