@@ -83,10 +83,11 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         raise ParseError("element names must be pairwise distinct")
     where = {name: i for i, name in enumerate(names)}
 
-    def lookup(name: str, context: str) -> int:
-        if name not in where:
-            raise ParseError(f"{context}: undeclared element name {name!r}")
-        return where[name]
+    def indices(cells: list[str], context: str) -> list[int]:
+        try:
+            return list(map(where.__getitem__, cells))
+        except KeyError as missing:
+            raise ParseError(f"{context}: undeclared element name {missing.args[0]!r}") from None
 
     rows = []
     for i in range(order):
@@ -97,19 +98,19 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         cells = line.split()
         if len(cells) != order:
             raise ParseError(f"line {lineno}: table row has {len(cells)} entries, expected {order}")
-        rows.append([lookup(c, f"line {lineno}") for c in cells])
+        rows.append(indices(cells, f"line {lineno}"))
     if pos < len(lines):
         lineno, line = lines[pos]
         raise ParseError(f"line {lineno}: unexpected content after the table: {line!r}")
 
-    zero = lookup(header["zero"], "zero") if "zero" in header else None
-    one = lookup(header["one"], "one") if "one" in header else None
+    zero = indices([header["zero"]], "zero")[0] if "zero" in header else None
+    one = indices([header["one"]], "one")[0] if "one" in header else None
     complement = None
     if "complement" in header:
         cells = header["complement"].split()
         if len(cells) != order:
             raise ParseError(f"complement lists {len(cells)} names, expected {order}")
-        complement = [lookup(c, "complement") for c in cells]
+        complement = indices(cells, "complement")
 
     return new_algebra(kind, names, rows, zero=zero, one=one, complement=complement)
 
@@ -129,10 +130,9 @@ def render_algebra(alg: FiniteAlgebra) -> str:
     if alg.unit is not None:
         lines.append(f"one: {alg.names[alg.unit]}")
     if alg.complement is not None:
-        lines.append("complement: " + " ".join(alg.names[c] for c in alg.complement))
+        lines.append("complement: " + " ".join(map(alg.names.__getitem__, alg.complement)))
     lines.append("table:")
-    for row in alg.table.entries:
-        lines.append(" ".join(alg.names[v] for v in row))
+    lines += (" ".join(map(alg.names.__getitem__, row)) for row in alg.table.entries)
     return "\n".join(lines) + "\n"
 
 

@@ -7,14 +7,18 @@ each with its first witness in lexicographic index order.
 
 A checker scans n^3 triples, or n^2 pairs, unless it can certify the table.
 From order ``_CERTIFY_FROM`` up, ``check_wajsberg``, ``check_mv``, and
-``check_bck`` and ``is_commutative`` on a bck-kind algebra, return the passing
-report without a scan when the table is a chain product of the checker's kind
-(``core.is_chain_product``, O(n^2 k) for k chains). Such a table satisfies
-every axiom they check, so the report is the one the scan would give. Every
-other table is scanned, so a failing one always gets the kernels' first
-witness: below the floor, no chain product (an Iseki extension, an unbounded
-or non-commutative bck table, a corrupted one), or a wajsberg or mv table given
-to ``check_bck`` or ``is_commutative``, which certify bck-kind tables only.
+``check_bci``, ``check_bck`` and ``is_commutative`` on a bck-kind algebra,
+return the passing report without a scan when the table is a chain product of
+the checker's kind (``core.is_chain_product``, O(n^2 k) for k chains). Such a
+table satisfies every axiom they check, so the report is the one the scan
+would give. ``is_positive_implicative`` does the same for a certified bck-kind
+table whose chains all have two elements, the only chain products that are
+positive implicative. Every other table is scanned, so a failing one always
+gets the kernels' first witness: below the floor, no chain product (an Iseki
+extension, an unbounded or non-commutative bck table, a corrupted one), a
+chain product with a longer chain given to ``is_positive_implicative``, or a
+wajsberg or mv table given to a bck-family checker, which certify bck-kind
+tables only. ``is_implicative`` and ``check_morphism`` always scan.
 
 Axiom ids (the lines below are appended from ``_TERMS``):
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Mapping, Sequence
 
-from .core import AlgebraError, FiniteAlgebra, Kind, is_chain_product, require_kind
+from .core import AlgebraError, FiniteAlgebra, Kind, chain_coordinates, is_chain_product, require_kind
 
 # The order from which a checker asks the certificate before it scans. Timed
 # in-process on relabelled chain products, the certificate costs about twice
@@ -147,10 +151,14 @@ def _kernel(axiom: str):
     return _antisymmetry if axiom == "bci-4" else _compile(_TERMS[axiom])
 
 
-def _report(checked: str, axioms: tuple[str, ...], alg: FiniteAlgebra, f=None, u=None, certify: Kind | None = None):
-    """The kernels' report on ``axioms``, or the passing report without a scan when
-    ``alg`` is of kind ``certify``, of order ``_CERTIFY_FROM`` or more, and a chain product."""
-    if alg.kind is certify and alg.order >= _CERTIFY_FROM and is_chain_product(alg):
+def _certified(alg: FiniteAlgebra, kind: Kind) -> bool:
+    """Whether ``alg`` is of kind ``kind``, of order ``_CERTIFY_FROM`` or more, and a chain product."""
+    return alg.kind is kind and alg.order >= _CERTIFY_FROM and is_chain_product(alg)
+
+
+def _report(checked: str, axioms: tuple[str, ...], alg: FiniteAlgebra, f=None, u=None, certified: bool = False):
+    """The passing report without a scan when ``certified``, else the kernels' report on ``axioms``."""
+    if certified:
         return VerificationReport(checked, ())
     args = (alg.table.entries, alg.complement, alg.zero, alg.unit, f, u)
     witnesses = [(axiom, _kernel(axiom)(*args)) for axiom in axioms]
@@ -158,17 +166,18 @@ def _report(checked: str, axioms: tuple[str, ...], alg: FiniteAlgebra, f=None, u
 
 
 def check_bci(alg: FiniteAlgebra) -> VerificationReport:
-    return _report("bci", ("bci-1", "bci-2", "bci-3", "bci-4"), alg)
+    """Scans every table, except a chain product of kind bck, which is a bck algebra."""
+    return _report("bci", ("bci-1", "bci-2", "bci-3", "bci-4"), alg, certified=_certified(alg, Kind.BCK))
 
 
 def check_bck(alg: FiniteAlgebra) -> VerificationReport:
-    """Scans every table, except a chain product of kind bck (see ``_report``)."""
-    return _report("bck", ("bci-1", "bci-2", "bci-3", "bci-4", "bck-5"), alg, certify=Kind.BCK)
+    """Scans every table, except a chain product of kind bck."""
+    return _report("bck", ("bci-1", "bci-2", "bci-3", "bci-4", "bck-5"), alg, certified=_certified(alg, Kind.BCK))
 
 
 def is_commutative(alg: FiniteAlgebra) -> VerificationReport:
-    """Scans every table, except a chain product of kind bck (see ``_report``)."""
-    return _report("commutative", ("commutative",), alg, certify=Kind.BCK)
+    """Scans every table, except a chain product of kind bck."""
+    return _report("commutative", ("commutative",), alg, certified=_certified(alg, Kind.BCK))
 
 
 def is_implicative(alg: FiniteAlgebra) -> VerificationReport:
@@ -176,7 +185,11 @@ def is_implicative(alg: FiniteAlgebra) -> VerificationReport:
 
 
 def is_positive_implicative(alg: FiniteAlgebra) -> VerificationReport:
-    return _report("positive-implicative", ("positive-implicative",), alg)
+    """Scans every table, except a chain product of kind bck whose chains all have
+    two elements. Any longer chain fails at x = 2, y = z = 1: (2*1)*1 = 0 but
+    (2*1)*(1*1) = 1, so no other chain product is positive implicative."""
+    boolean = _certified(alg, Kind.BCK) and set(chain_coordinates(alg)[0]) == {1}
+    return _report("positive-implicative", ("positive-implicative",), alg, certified=boolean)
 
 
 def check_mv(alg: FiniteAlgebra) -> VerificationReport:
@@ -184,17 +197,18 @@ def check_mv(alg: FiniteAlgebra) -> VerificationReport:
     distinguishing identity. The monoid laws are checked even though the signature
     presupposes them: a checker that trusts unstated laws would accept garbage tables.
     The stored one is read as it is; FiniteAlgebra keeps it equal to zero'. Other kinds are refused.
-    A chain product passes without a scan (see ``_report``)."""
+    A chain product passes without a scan."""
     require_kind(alg, Kind.MV, "check_mv")
     return _report("mv", ("mv-assoc", "mv-comm", "mv-zero-identity", "mv-double-negation",
-                         "mv-top-absorbing", "mv-lukasiewicz"), alg, certify=Kind.MV)
+                         "mv-top-absorbing", "mv-lukasiewicz"), alg, certified=_certified(alg, Kind.MV))
 
 
 def check_wajsberg(alg: FiniteAlgebra) -> VerificationReport:
     """Other kinds are refused. The identities never read zero; FiniteAlgebra keeps it equal to unit'.
-    A chain product passes without a scan (see ``_report``)."""
+    A chain product passes without a scan."""
     require_kind(alg, Kind.WAJSBERG, "check_wajsberg")
-    return _report("wajsberg", ("wajsberg-1", "wajsberg-2", "wajsberg-3", "wajsberg-4"), alg, certify=Kind.WAJSBERG)
+    return _report("wajsberg", ("wajsberg-1", "wajsberg-2", "wajsberg-3", "wajsberg-4"), alg,
+                   certified=_certified(alg, Kind.WAJSBERG))
 
 
 def check_morphism(

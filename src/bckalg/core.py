@@ -20,13 +20,18 @@ theorem's reading of the table.
 
 That reading is here and nowhere else. Every finite MV (so Wajsberg) algebra is
 a product of finite Lukasiewicz chains, and bounded commutative BCK algebras
-are MV algebras in another signature. ``chain_coordinates`` reads the chains
-off the derived order, ``chain_product_rows`` builds a chain product of any
-kind on given coordinates, ``chain_rebuild`` is that product on an algebra's
-own coordinates, and ``is_chain_product`` is the certificate that the table
-equals it, in O(n^2 k) for k chains: the axiom checkers pass a certified table
-of their kind without scanning n^3 triples, and the misprint diagnosis
-compares a table that fails with its rebuild.
+are MV algebras in another signature. The chains are read off the derived
+order (Birkhoff) as coordinates that must be distinct and fill the product;
+``chain_product_rows`` builds a chain product of any kind on given
+coordinates. ``is_chain_product`` is the certificate that the table equals
+the product built on that reading, with its constants in place, in O(n^2 k)
+for k chains. It does not confirm the reading's order: a table isomorphic to
+a chain product has that product's order. ``chain_coordinates`` returns the
+reading when the table is certified or, failing that, when the product order
+on the reading is the derived order, and ``chain_rebuild`` is the product on
+those coordinates. The axiom checkers pass a certified table of their kind
+without scanning n^3 triples, and the misprint diagnosis compares a table
+that fails with its rebuild.
 """
 
 from __future__ import annotations
@@ -170,17 +175,17 @@ class FiniteAlgebra:
         return _count_occurrences(self.table.entries)
 
     @cached_property
-    def _coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    def _reading(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
         return _read_chains(self)
 
     @cached_property
-    def _rebuilt(self) -> tuple[tuple[int, ...], ...] | None:
-        found = self._coordinates
+    def _product(self) -> tuple[tuple[int, ...], ...] | None:
+        found = self._reading
         return None if found is None else chain_product_rows(*found, self.kind)
 
     @cached_property
     def _certified(self) -> bool:
-        found = self._coordinates
+        found = self._reading
         if found is None:
             return False
         tops, coords = found
@@ -189,8 +194,13 @@ class FiniteAlgebra:
             not any(coords[self.zero])
             and (self.unit is None or coords[self.unit] == tops)
             and (self.kind is Kind.BCK or all(coords[cx] == tuple(map(sub, tops, x)) for x, cx in zip(coords, c)))
-            and self.table.entries == self._rebuilt
+            and self.table.entries == self._product
         )
+
+    @cached_property
+    def _coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+        found = self._reading
+        return found if found is not None and (self._certified or _confirms_order(self, *found)) else None
 
     def op(self, x: int, y: int) -> int:
         return self.table.entries[x][y]
@@ -324,13 +334,15 @@ def _read_chains(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, 
     if prod(len(members) + 1 for members in chains) != n:
         return None
     coords = tuple(tuple(sum(map(col.__getitem__, members)) for members in chains) for col in cols)
-    if len(set(coords)) != n:
-        return None
+    return (tuple(map(len, chains)), coords) if len(set(coords)) == n else None
+
+
+def _confirms_order(alg: FiniteAlgebra, tops: tuple[int, ...], coords: tuple[tuple[int, ...], ...]) -> bool:
     # x <= y in the product iff, for each i, y is among the elements whose coordinate i is at least x's
-    tops = tuple(map(len, chains))
+    n = alg.order
     at_least = [[tuple(map(v.__le__, col)) for v in range(t + 1)] for t, col in zip(tops, zip(*coords))]
     product_leq = (reduce(partial(map, and_), map(getitem, at_least, cx), (True,) * n) for cx in coords)
-    return (tops, coords) if leq == tuple(map(tuple, product_leq)) else None
+    return order_relation(alg).leq == tuple(map(tuple, product_leq))
 
 
 def chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
@@ -339,8 +351,10 @@ def chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[
     read once per algebra object.
     Birkhoff: with h[x] = |down-set of x|, x is join-irreducible iff some
     y <= x has h[y] = h[x] - 1; those above atom i form chain i less its
-    bottom, and coordinate i of x counts those below x. The result is then
-    checked in full: distinct coordinates filling the product, same order.
+    bottom, and coordinate i of x counts those below x. The reading must give
+    distinct coordinates filling the product. Its order is then confirmed to
+    be the derived order, in O(n^2 k), unless ``is_chain_product`` holds: a
+    table equal to the product on the reading already has the product order.
     Unique up to swapping chains of equal length."""
     return alg._coordinates
 
@@ -380,14 +394,17 @@ def chain_product_rows(
 def chain_rebuild(alg: FiniteAlgebra) -> tuple[tuple[int, ...], ...] | None:
     """``chain_product_rows`` of ``alg``'s own kind on its ``chain_coordinates``,
     or None without coordinates; built once per algebra object."""
-    return alg._rebuilt
+    return None if alg._coordinates is None else alg._product
 
 
 def is_chain_product(alg: FiniteAlgebra) -> bool:
-    """Whether the table is its own ``chain_rebuild``, with zero at 0...0, a
-    declared one at the tops and, for wajsberg and mv, complement(x) at
-    tops - x; decided once per algebra object in O(n^2 k) for k chains. Such
-    a table is a relabelled chain product, so it satisfies every axiom of its
+    """Whether the table equals the chain product built on the Birkhoff
+    reading of its derived order (see ``chain_coordinates``), with zero at
+    0...0, a declared one at the tops and, for wajsberg and mv, complement(x)
+    at tops - x; decided once per algebra object in O(n^2 k) for k chains.
+    The reading's order is not confirmed here: such a table is isomorphic to
+    that product, constants included, so its derived order is the product
+    order. It is a relabelled chain product, so it satisfies every axiom of its
     kind, and bck tables also commutativity and boundedness. Conversely every
     valid Wajsberg or MV table and every bounded commutative BCK table is one
     (Cignoli, D'Ottaviano and Mundici 2000; Mundici 1986), since the rebuild

@@ -1,8 +1,8 @@
 """Structure-to-structure constructions.
 
 The six translations share one driver: check the source kind and axioms,
-fill the target table from a one-line cell formula, assemble it with
-``new_algebra``. ``TRANSLATIONS`` maps (source kind, target kind) to the
+fill the target table row by row from a one-line row formula, assemble it
+with ``new_algebra``. ``TRANSLATIONS`` maps (source kind, target kind) to the
 public function and its formula. The carrier (indices and names) never
 changes, so roundtrip equality is literal table equality. Every table built
 here is read from a table whose cells were checked, so it skips the cell
@@ -45,10 +45,9 @@ def _validated(alg: FiniteAlgebra, kind: Kind, caller: str) -> tuple[int, int, t
 
 def _translate(alg: FiniteAlgebra, source: Kind, target: Kind) -> FiniteAlgebra:
     zero, one, c = _validated(alg, source, f"{source.value}_to_{target.value}")
-    cell = TRANSLATIONS[(source, target)][1]
+    row = TRANSLATIONS[(source, target)][1]
     t = alg.table.entries
-    carrier = range(alg.order)
-    rows = [[cell(t, c, x, y) for y in carrier] for x in carrier]
+    rows = [row(t, c, x) for x in range(alg.order)]
     return new_algebra(target, alg.names, CayleyTable.trusted(rows), zero=zero, one=one, complement=c)
 
 
@@ -98,15 +97,15 @@ def bck_to_wajsberg(alg: FiniteAlgebra) -> FiniteAlgebra:
     return _translate(alg, Kind.BCK, Kind.WAJSBERG)
 
 
-# (source kind, target kind) -> (public translation, cell formula over the
-# source table t and complement c).
+# (source kind, target kind) -> (public translation, row formula: row x of the
+# target table over the source table t and complement c).
 TRANSLATIONS = {
-    (Kind.BCK, Kind.MV): (bck_to_mv, lambda t, c, x, y: c[t[c[x]][y]]),
-    (Kind.MV, Kind.BCK): (mv_to_bck, lambda t, c, x, y: c[t[c[x]][y]]),
-    (Kind.WAJSBERG, Kind.MV): (wajsberg_to_mv, lambda t, c, x, y: t[c[x]][y]),
-    (Kind.MV, Kind.WAJSBERG): (mv_to_wajsberg, lambda t, c, x, y: t[c[x]][y]),
-    (Kind.WAJSBERG, Kind.BCK): (wajsberg_to_bck, lambda t, c, x, y: c[t[x][y]]),
-    (Kind.BCK, Kind.WAJSBERG): (bck_to_wajsberg, lambda t, c, x, y: c[t[x][y]]),
+    (Kind.BCK, Kind.MV): (bck_to_mv, lambda t, c, x: map(c.__getitem__, t[c[x]])),
+    (Kind.MV, Kind.BCK): (mv_to_bck, lambda t, c, x: map(c.__getitem__, t[c[x]])),
+    (Kind.WAJSBERG, Kind.MV): (wajsberg_to_mv, lambda t, c, x: t[c[x]]),
+    (Kind.MV, Kind.WAJSBERG): (mv_to_wajsberg, lambda t, c, x: t[c[x]]),
+    (Kind.WAJSBERG, Kind.BCK): (wajsberg_to_bck, lambda t, c, x: map(c.__getitem__, t[x])),
+    (Kind.BCK, Kind.WAJSBERG): (bck_to_wajsberg, lambda t, c, x: map(c.__getitem__, t[x])),
 }
 
 
@@ -116,5 +115,5 @@ def derive_mv_ops(alg: FiniteAlgebra) -> DerivedMvOps:
     t, carrier = alg.table.entries, range(alg.order)
     minus = TRANSLATIONS[(Kind.MV, Kind.BCK)][1]
     odot = CayleyTable.trusted([[c[t[c[x]][c[y]]] for y in carrier] for x in carrier])
-    ominus = CayleyTable.trusted([[minus(t, c, x, y) for y in carrier] for x in carrier])
+    ominus = CayleyTable.trusted([minus(t, c, x) for x in carrier])
     return DerivedMvOps(odot, ominus)

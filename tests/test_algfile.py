@@ -1,3 +1,5 @@
+import traceback
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,6 +117,25 @@ def test_ragged_table_row():
 def test_undeclared_table_entry():
     with pytest.raises(ParseError, match="undeclared"):
         parse_algebra("kind: bck\norder: 2\nelements: z a\nzero: z\ntable:\nz q\na z\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind: bck\norder: 3\nelements: z a b\nzero: z\ntable:\nz z z\n# two undeclared names\na q r\nb a z\n",
+         "line 8: undeclared element name 'q'"),
+        ("kind: mv\norder: 3\nelements: z h o\nzero: z\ncomplement: o w v\ntable:\nz h o\nh o o\no o o\n",
+         "complement: undeclared element name 'w'"),
+        ("kind: bck\norder: 2\nelements: z a\nzero: z\none: a b\ntable:\nz z\na z\n",
+         "one: undeclared element name 'a b'"),
+    ],
+    ids=["row", "complement", "one"],
+)
+def test_only_the_first_undeclared_name_is_reported(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_algebra(text)
+    assert str(caught.value) == message
+    assert "KeyError" not in "".join(traceback.format_exception(caught.value))
 
 
 def test_trailing_content_rejected():

@@ -267,9 +267,10 @@ def test_morphism_reports_match_reference(n, m, seed, images):
 
 # -- certificate ----------------------------------------------------------
 # From axioms._CERTIFY_FROM up, a checker of a kind's axioms passes a table of
-# that kind that is a chain product (core.is_chain_product) without a scan.
-# The reports must still equal the reference's, and every table that is no
-# chain product of the checker's kind must reach the kernels.
+# that kind that is a chain product (core.is_chain_product) without a scan;
+# is_positive_implicative only a bck-kind product of two-element chains. The
+# reports must still equal the reference's, and every table that is no chain
+# product of the checker's kind must reach the kernels.
 
 BCK_AXIOMS = {"bci-1", "bci-2", "bci-3", "bci-4", "bck-5"}
 
@@ -310,9 +311,14 @@ def with_complement_changed(alg, flips):
 @example(kind=Kind.MV, n=24, pick=2, seed=1, changes=[(False, 7, 4)])
 @example(kind=Kind.WAJSBERG, n=18, pick=1, seed=2, changes=[(False, 5, 0)])
 @example(kind=Kind.BCK, n=30, pick=4, seed=3, changes=[(True, 300, 2), (False, 9, 1)])
+@example(kind=Kind.BCK, n=32, pick=6, seed=4, changes=[])
+@example(kind=Kind.BCK, n=32, pick=6, seed=4, changes=[(True, 500, 3)])
+@example(kind=Kind.BCK, n=16, pick=1, seed=2, changes=[])
 def test_certified_reports_match_reference_on_corrupted_chain_products(kind, n, pick, seed, changes):
     # table cells (True) and complement entries (False) changed; every order is
-    # certified here, so each checker of the table's kind asks the certificate first
+    # certified here, so each checker of the table's kind asks the certificate
+    # first: check_bci and is_positive_implicative too, against ref_check_bci and
+    # ref_is_positive_implicative (the 2^5 and 2^4 examples pass the latter, 2x8 fails it)
     alg = relabelled_chain_product(kind, n, pick, seed, [(cell, shift) for table, cell, shift in changes if table])
     alg = with_complement_changed(alg, [(x, shift) for table, x, shift in changes if not table])
     assert changes or is_chain_product(alg)
@@ -321,8 +327,8 @@ def test_certified_reports_match_reference_on_corrupted_chain_products(kind, n, 
 
 
 @pytest.mark.parametrize("kind, check", [(Kind.WAJSBERG, check_wajsberg), (Kind.MV, check_mv),
-                                         (Kind.BCK, check_bck), (Kind.BCK, is_commutative)],
-                         ids=["wajsberg", "mv", "bck", "commutative"])
+                                         (Kind.BCK, check_bck), (Kind.BCK, is_commutative), (Kind.BCK, check_bci)],
+                         ids=["wajsberg", "mv", "bck", "commutative", "bci"])
 def test_chain_products_are_certified_from_the_order_floor(monkeypatch, kind, check):
     calls = kernel_calls(monkeypatch)
     at = relabelled_chain_product(kind, axioms._CERTIFY_FROM, 1, 3)
@@ -359,6 +365,21 @@ def test_a_complement_off_the_coordinates_reaches_the_kernels(monkeypatch, kind)
     assert calls
 
 
+def test_positive_implicative_certifies_products_of_two_element_chains_only(monkeypatch):
+    # of the seven factorizations of 32, only 2x2x2x2x2 (the last) is Boolean;
+    # the others are certified chain products and still scanned for a witness
+    calls = kernel_calls(monkeypatch)
+    boolean = relabelled_chain_product(Kind.BCK, 32, 6, 4)
+    assert is_chain_product(boolean)
+    assert is_positive_implicative(boolean) == ref_is_positive_implicative(boolean) and calls == []
+    for pick in range(6):
+        alg = relabelled_chain_product(Kind.BCK, 32, pick, 4)
+        assert is_chain_product(alg)
+        report = is_positive_implicative(alg)
+        assert report == ref_is_positive_implicative(alg) and not report.passed
+        assert calls.pop() == "positive-implicative" and calls == []
+
+
 def hostile_bck(n):
     """0*x = 0, x*x = 0, x*y = x otherwise: a valid bck algebra whose nonzero
     elements are pairwise incomparable, so no chain product past order 2."""
@@ -373,15 +394,21 @@ def test_bck_tables_that_are_no_chain_product_reach_the_kernels(monkeypatch, bui
     assert not is_chain_product(alg)
     calls = kernel_calls(monkeypatch)
     assert check_bck(alg) == ref_check_bck(alg) and check_bck(alg).passed
+    assert check_bci(alg) == ref_check_bci(alg) and check_bci(alg).passed
     assert is_commutative(alg) == ref_is_commutative(alg)
-    assert set(calls) == BCK_AXIOMS | {"commutative"}
+    assert is_positive_implicative(alg) == ref_is_positive_implicative(alg)
+    assert set(calls) == BCK_AXIOMS | {"commutative", "positive-implicative"}
 
 
 @pytest.mark.parametrize("kind", [Kind.WAJSBERG, Kind.MV], ids=lambda k: k.value)
 def test_bck_checkers_never_certify_other_kinds(monkeypatch, kind):
-    alg = relabelled_chain_product(kind, 32, 3, 9)
-    assert is_chain_product(alg)
     calls = kernel_calls(monkeypatch)
-    assert check_bck(alg) == ref_check_bck(alg) and not check_bck(alg).passed
-    assert is_commutative(alg) == ref_is_commutative(alg)
-    assert set(calls) == BCK_AXIOMS | {"commutative"}
+    for pick in (3, 6):  # 2x2x8, and 2x2x2x2x2, which is_positive_implicative would certify as bck
+        alg = relabelled_chain_product(kind, 32, pick, 9)
+        assert is_chain_product(alg)
+        assert check_bck(alg) == ref_check_bck(alg) and not check_bck(alg).passed
+        assert check_bci(alg) == ref_check_bci(alg)
+        assert is_commutative(alg) == ref_is_commutative(alg)
+        assert is_positive_implicative(alg) == ref_is_positive_implicative(alg)
+        assert set(calls) == BCK_AXIOMS | {"commutative", "positive-implicative"}
+        calls.clear()

@@ -32,7 +32,8 @@ from bckalg import (
     wajsberg_to_mv,
 )
 from bckalg import axioms, core, enumeration
-from bckalg.core import chain_coordinates, occurrence_counts, order_degrees, order_relation
+from bckalg.core import (chain_coordinates, chain_rebuild, is_chain_product, occurrence_counts, order_degrees,
+                         order_relation)
 from bckalg.enumeration import order_isomorphism
 from test_axioms_reference import ref_check_wajsberg
 from references import (
@@ -707,3 +708,51 @@ def test_chain_coordinates_reject_an_order_that_is_no_product_of_chains():
     alg = new_algebra("bck", "01234", rows, zero=0)
     assert check_bck(alg).passed
     assert chain_coordinates(alg) is None
+
+
+@pytest.mark.parametrize("kind", [Kind.WAJSBERG, Kind.BCK, Kind.MV], ids=lambda k: k.value)
+def test_a_certified_table_never_confirms_its_order(monkeypatch, kind):
+    calls = []
+    confirm = core._confirms_order
+    monkeypatch.setattr(core, "_confirms_order", lambda *args: calls.append(args) or confirm(*args))
+    alg = relabelled_chain_product(kind, 24, 2, 7)
+    assert is_chain_product(alg)
+    assert chain_coordinates(alg) is not None and chain_rebuild(alg) == alg.table.entries
+    assert calls == []
+    # non-vacuity: one cell changed, the derived order kept; the order is confirmed once
+    mark = order_relation(alg).mark
+    rows = [list(row) for row in alg.table.entries]
+    x, y = next((x, y) for x, row in enumerate(rows) for y, v in enumerate(row) if v != mark)
+    rows[x][y] = next(v for v in range(alg.order) if v not in (mark, rows[x][y]))
+    bad = dataclasses.replace(alg, table=CayleyTable(rows))
+    assert not is_chain_product(bad)
+    assert chain_coordinates(bad) == chain_coordinates(bad) == chain_coordinates(alg)
+    assert chain_rebuild(bad) == alg.table.entries
+    assert len(calls) == 1
+
+
+def test_chain_coordinates_confirm_the_reading_on_every_reflexive_relation_of_four_elements():
+    # each of the 4,096 reflexive relations R on four elements as the bck table
+    # x*y = 0 if x R y else 1, whose derived order is R; the coordinates are kept
+    # iff the product order on the Birkhoff reading is R, which holds exactly for
+    # the relabelled 4-chains and 2x2 squares
+    n, elements = 4, range(4)
+    bits = lambda leq: sum(1 << (n * x + y) for x in elements for y in elements if leq(x, y))
+    shapes = [lambda x, y: x <= y, lambda x, y: x & y == x]
+    products = {bits(lambda x, y: leq(p[x], p[y])) for leq in shapes for p in permutations(elements)}
+    diagonal = bits(int.__eq__)
+    filled = []
+    for r in range(1 << n * n):
+        if r & diagonal != diagonal:
+            continue
+        rows = [[0 if r >> (n * x + y) & 1 else 1 for y in elements] for x in elements]
+        alg = new_algebra("bck", "abcd", rows, zero=0)
+        reading = core._read_chains(alg)
+        if reading is not None:
+            coords = reading[1]
+            product_order = bits(lambda x, y: all(map(int.__le__, coords[x], coords[y])))
+            filled.append(product_order == r)
+        assert chain_coordinates(alg) == (reading if reading is not None and product_order == r else None)
+        assert (chain_coordinates(alg) is not None) == (r in products)
+        assert not is_chain_product(alg)
+    assert (len(filled), filled.count(False), len(products)) == (60, 24, 36)
