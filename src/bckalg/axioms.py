@@ -13,8 +13,10 @@ the checker's kind (``core.is_chain_product``, O(n^2 k) for k chains). Such a
 table satisfies every axiom they check, so the report is the one the scan
 would give. ``is_positive_implicative`` does the same for a certified bck-kind
 table whose chains all have two elements, the only chain products that are
-positive implicative. Every other table is scanned, so a failing one always
-gets the kernels' first witness: below the floor, no chain product (an Iseki
+positive implicative, and asks the certificate only if down * up = n for each
+element's ``core.order_degrees`` (in a chain product (c+1)(t-c+1) > t+1 for
+0 < c < t). Every other table is scanned, so a failing one always gets the
+kernels' first witness: below the floor, no chain product (an Iseki
 extension, an unbounded or non-commutative bck table, a corrupted one), a
 chain product with a longer chain given to ``is_positive_implicative``, or a
 wajsberg or mv table given to a bck-family checker, which certify bck-kind
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Mapping, Sequence
 
-from .core import AlgebraError, FiniteAlgebra, Kind, chain_coordinates, is_chain_product, require_kind
+from .core import AlgebraError, FiniteAlgebra, Kind, is_chain_product, order_degrees, require_kind
 
 # The order from which a checker asks the certificate before it scans. Timed
 # in-process on relabelled chain products, the certificate costs about twice
@@ -187,8 +189,10 @@ def is_implicative(alg: FiniteAlgebra) -> VerificationReport:
 def is_positive_implicative(alg: FiniteAlgebra) -> VerificationReport:
     """Scans every table, except a chain product of kind bck whose chains all have
     two elements. Any longer chain fails at x = 2, y = z = 1: (2*1)*1 = 0 but
-    (2*1)*(1*1) = 1, so no other chain product is positive implicative."""
-    boolean = _certified(alg, Kind.BCK) and set(chain_coordinates(alg)[0]) == {1}
+    (2*1)*(1*1) = 1, so no other chain product is positive implicative. Only a table
+    whose degrees all have d * u = n asks the certificate: (c+1)(t-c+1) > t+1 for 0 < c < t."""
+    n = alg.order
+    boolean = all(d * u == n for d, u in order_degrees(alg)) and _certified(alg, Kind.BCK)
     return _report("positive-implicative", ("positive-implicative",), alg, certified=boolean)
 
 

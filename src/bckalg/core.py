@@ -23,15 +23,15 @@ a product of finite Lukasiewicz chains, and bounded commutative BCK algebras
 are MV algebras in another signature. The chains are read off the derived
 order (Birkhoff) as coordinates that must be distinct and fill the product;
 ``chain_product_rows`` builds a chain product of any kind on given
-coordinates. ``is_chain_product`` is the certificate that the table equals
-the product built on that reading, with its constants in place, in O(n^2 k)
-for k chains. It does not confirm the reading's order: a table isomorphic to
-a chain product has that product's order. ``chain_coordinates`` returns the
-reading when the table is certified or, failing that, when the product order
-on the reading is the derived order, and ``chain_rebuild`` is the product on
-those coordinates. The axiom checkers pass a certified table of their kind
-without scanning n^3 triples, and the misprint diagnosis compares a table
-that fails with its rebuild.
+coordinates. An algebra keeps the reading and the product of its kind on it
+as one value. ``is_chain_product`` is the certificate that the table equals
+that product, with its constants in place, in O(n^2 k) for k chains. It does
+not confirm the reading's order: a table isomorphic to a chain product has
+that product's order. ``chain_coordinates`` returns the reading when the
+table is certified or, failing that, when the plain product order on it is
+the derived order, and ``chain_rebuild`` is that product. The axiom checkers
+pass a certified table of their kind without scanning n^3 triples, and the
+misprint diagnosis compares a table that fails with its rebuild.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial, reduce
+from functools import cached_property
 from itertools import chain, compress
 from math import prod
-from operator import and_, getitem, sub
+from operator import le, sub
 from typing import Iterable, Sequence
 
 
@@ -175,32 +175,27 @@ class FiniteAlgebra:
         return _count_occurrences(self.table.entries)
 
     @cached_property
-    def _reading(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
-        return _read_chains(self)
-
-    @cached_property
-    def _product(self) -> tuple[tuple[int, ...], ...] | None:
-        found = self._reading
-        return None if found is None else chain_product_rows(*found, self.kind)
+    def _reading(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
+        found = _read_chains(self)
+        return None if found is None else (*found, chain_product_rows(*found, self.kind))
 
     @cached_property
     def _certified(self) -> bool:
-        found = self._reading
-        if found is None:
+        if self._reading is None:
             return False
-        tops, coords = found
+        tops, coords, rows = self._reading
         c = self.complement
         return (
             not any(coords[self.zero])
             and (self.unit is None or coords[self.unit] == tops)
             and (self.kind is Kind.BCK or all(coords[cx] == tuple(map(sub, tops, x)) for x, cx in zip(coords, c)))
-            and self.table.entries == self._product
+            and self.table.entries == rows
         )
 
     @cached_property
     def _coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
         found = self._reading
-        return found if found is not None and (self._certified or _confirms_order(self, *found)) else None
+        return found[:2] if found is not None and (self._certified or _confirms_order(self, found[1])) else None
 
     def op(self, x: int, y: int) -> int:
         return self.table.entries[x][y]
@@ -337,12 +332,8 @@ def _read_chains(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, 
     return (tuple(map(len, chains)), coords) if len(set(coords)) == n else None
 
 
-def _confirms_order(alg: FiniteAlgebra, tops: tuple[int, ...], coords: tuple[tuple[int, ...], ...]) -> bool:
-    # x <= y in the product iff, for each i, y is among the elements whose coordinate i is at least x's
-    n = alg.order
-    at_least = [[tuple(map(v.__le__, col)) for v in range(t + 1)] for t, col in zip(tops, zip(*coords))]
-    product_leq = (reduce(partial(map, and_), map(getitem, at_least, cx), (True,) * n) for cx in coords)
-    return order_relation(alg).leq == tuple(map(tuple, product_leq))
+def _confirms_order(alg: FiniteAlgebra, coords: tuple[tuple[int, ...], ...]) -> bool:
+    return order_relation(alg).leq == tuple(tuple(all(map(le, x, y)) for y in coords) for x in coords)
 
 
 def chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
@@ -352,10 +343,11 @@ def chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[
     Birkhoff: with h[x] = |down-set of x|, x is join-irreducible iff some
     y <= x has h[y] = h[x] - 1; those above atom i form chain i less its
     bottom, and coordinate i of x counts those below x. The reading must give
-    distinct coordinates filling the product. Its order is then confirmed to
-    be the derived order, in O(n^2 k), unless ``is_chain_product`` holds: a
-    table equal to the product on the reading already has the product order.
-    Unique up to swapping chains of equal length."""
+    distinct coordinates filling the product. Unless ``is_chain_product``
+    holds (a table equal to the product on the reading already has the
+    product order), the product order, x <= y iff every coordinate of x is at
+    most y's, is then compared with the derived order cell by cell, in
+    O(n^2 k). Unique up to swapping chains of equal length."""
     return alg._coordinates
 
 
@@ -393,8 +385,9 @@ def chain_product_rows(
 
 def chain_rebuild(alg: FiniteAlgebra) -> tuple[tuple[int, ...], ...] | None:
     """``chain_product_rows`` of ``alg``'s own kind on its ``chain_coordinates``,
-    or None without coordinates; built once per algebra object."""
-    return None if alg._coordinates is None else alg._product
+    or None without coordinates: the product kept with the reading, built once
+    per algebra object, which the certificate compared with the table."""
+    return None if alg._coordinates is None else alg._reading[2]
 
 
 def is_chain_product(alg: FiniteAlgebra) -> bool:

@@ -37,8 +37,8 @@ from bckalg import (
     wajsberg_to_mv,
 )
 from bckalg import axioms
-from bckalg.core import is_chain_product
-from references import relabelled_chain_product
+from bckalg.core import chain_coordinates, is_chain_product, order_degrees
+from references import reference_chain_product, reference_factorizations, relabelled_chain_product
 
 # -- reference ------------------------------------------------------------
 
@@ -378,6 +378,28 @@ def test_positive_implicative_certifies_products_of_two_element_chains_only(monk
         report = is_positive_implicative(alg)
         assert report == ref_is_positive_implicative(alg) and not report.passed
         assert calls.pop() == "positive-implicative" and calls == []
+
+
+def test_positive_implicative_never_certifies_a_product_with_a_longer_chain(monkeypatch):
+    # the degree test refuses the six non-Boolean factorizations of 32 (the
+    # 32-chain, 2x16, ...) before any certificate is asked
+    def refuse(alg):
+        raise AssertionError("certificate asked")
+
+    algebras = [relabelled_chain_product(Kind.BCK, 32, pick, 11) for pick in range(6)]
+    monkeypatch.setattr(axioms, "is_chain_product", refuse)
+    for alg in algebras:
+        report = is_positive_implicative(alg)
+        assert report == ref_is_positive_implicative(alg) and not report.passed
+
+
+def test_degree_test_tells_boolean_chain_products():
+    # d * u = n for every element iff every chain read off the order has two elements
+    for n in range(2, 49):
+        for sizes in reference_factorizations(n):
+            alg = reference_chain_product(sizes, Kind.BCK)
+            tops, _ = chain_coordinates(alg)
+            assert all(d * u == n for d, u in order_degrees(alg)) == (set(tops) == {1})
 
 
 def hostile_bck(n):

@@ -112,10 +112,12 @@ def test_diagnosis_restores_one_corrupted_cell_beyond_the_reference(monkeypatch,
     rows[x][y] = new
     builds, build = [], core.chain_product_rows
     monkeypatch.setattr(core, "chain_product_rows", lambda *args: builds.append(args) or build(*args))
+    readings, read = [], core._read_chains
+    monkeypatch.setattr(core, "_read_chains", lambda alg: readings.append(alg) or read(alg))
     diag = diagnose_wajsberg(dataclasses.replace(clean, table=CayleyTable(rows)))
     assert not diag.report.passed
-    # check_wajsberg asked the certificate first, and the diagnosis read the rebuild it made
-    assert len(builds) == 1
+    # check_wajsberg asked the certificate first, and the diagnosis read the reading and rebuild it made
+    assert len(builds) == len(readings) == 1
     assert diag.corrected == clean
     nm = clean.names
     assert [(c.row, c.col, c.stored, c.expected) for c in diag.cells] == [(nm[x], nm[y], nm[new], nm[t[x][y]])]
