@@ -40,18 +40,14 @@ from .golden import run_check_paper
 MAX_ENUMERATE_ORDER = 256
 
 
-class _InputError(Exception):
-    pass
-
-
 def _load(path: str, kind: str | None = None) -> FiniteAlgebra:
     """The algebra in a file, which must declare ``kind`` when one is given."""
     try:
         alg = load_algebra(path)
     except AlgebraError as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        raise AlgebraError(f"{path}: {exc}") from None
     if kind is not None and alg.kind.value != kind:
-        raise _InputError(f"{path} declares kind {alg.kind.value}, not {kind}")
+        raise AlgebraError(f"{path} declares kind {alg.kind.value}, not {kind}")
     return alg
 
 
@@ -72,7 +68,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         (args.positive_implicative, is_positive_implicative),
     ]
     if any(flag for flag, _ in extras) and alg.kind is not Kind.BCK:
-        raise _InputError("--commutative/--implicative/--positive-implicative apply to bck files only")
+        raise AlgebraError("--commutative/--implicative/--positive-implicative apply to bck files only")
     passed = _print_report(alg, CHECKERS[alg.kind](alg))
     for flag, checker in extras:
         if flag:
@@ -102,7 +98,7 @@ def _load_bck(path: str) -> FiniteAlgebra:
     try:
         require(check_bck(alg), alg, "bck algebra")
     except AlgebraError as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        raise AlgebraError(f"{path}: {exc}") from None
     return alg
 
 
@@ -114,9 +110,9 @@ def _cmd_iseki(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.order < 2:
-        raise _InputError("--order must be >= 2")
+        raise AlgebraError("--order must be >= 2")
     if args.order > MAX_ENUMERATE_ORDER:
-        raise _InputError(f"--order must be <= {MAX_ENUMERATE_ORDER}")
+        raise AlgebraError(f"--order must be <= {MAX_ENUMERATE_ORDER}")
     out = None if args.out is None else Path(args.out)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -228,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (_InputError, OSError, AlgebraError) as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,9 +29,10 @@ that product, with its constants in place, in O(n^2 k) for k chains. It does
 not confirm the reading's order: a table isomorphic to a chain product has
 that product's order. ``chain_coordinates`` returns the reading when the
 table is certified or, failing that, when the plain product order on it is
-the derived order, and ``chain_rebuild`` is that product. The axiom checkers
-pass a certified table of their kind without scanning n^3 triples, and the
-misprint diagnosis compares a table that fails with its rebuild.
+the derived order, and ``chain_rebuild`` is that product when the reading also
+puts zero at 0...0 and a declared one at the tops, as the certificate requires.
+The axiom checkers pass a certified table of their kind without scanning n^3
+triples, and the misprint diagnosis compares a table that fails with its rebuild.
 """
 
 from __future__ import annotations
@@ -186,8 +187,7 @@ class FiniteAlgebra:
         tops, coords, rows = self._reading
         c = self.complement
         return (
-            not any(coords[self.zero])
-            and (self.unit is None or coords[self.unit] == tops)
+            _constants_placed(self, (tops, coords))
             and (self.kind is Kind.BCK or all(coords[cx] == tuple(map(sub, tops, x)) for x, cx in zip(coords, c)))
             and self.table.entries == rows
         )
@@ -336,6 +336,10 @@ def _confirms_order(alg: FiniteAlgebra, coords: tuple[tuple[int, ...], ...]) -> 
     return order_relation(alg).leq == tuple(tuple(all(map(le, x, y)) for y in coords) for x in coords)
 
 
+def _constants_placed(alg: FiniteAlgebra, found: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None) -> bool:
+    return found is not None and not any(found[1][alg.zero]) and (alg.unit is None or found[1][alg.unit] == found[0])
+
+
 def chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
     """(tops, coords) with x -> coords[x] an isomorphism from the derived
     order of ``alg`` onto the product of the chains 0 < ... < tops[i], or None;
@@ -384,10 +388,11 @@ def chain_product_rows(
 
 
 def chain_rebuild(alg: FiniteAlgebra) -> tuple[tuple[int, ...], ...] | None:
-    """``chain_product_rows`` of ``alg``'s own kind on its ``chain_coordinates``,
-    or None without coordinates: the product kept with the reading, built once
-    per algebra object, which the certificate compared with the table."""
-    return None if alg._coordinates is None else alg._reading[2]
+    """``chain_product_rows`` of ``alg``'s own kind on its ``chain_coordinates``
+    when they put zero at 0...0 and a declared one, if any, at the tops, or None:
+    the product kept with the reading, built once per algebra object, which the
+    certificate compared with the table."""
+    return alg._reading[2] if _constants_placed(alg, alg._coordinates) else None
 
 
 def is_chain_product(alg: FiniteAlgebra) -> bool:

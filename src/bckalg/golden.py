@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import (AlgebraError, CayleyTable, FiniteAlgebra, Kind, bound_element, chain_coordinates, chain_rebuild,
-                   new_algebra, require_kind)
+from .core import (AlgebraError, CayleyTable, FiniteAlgebra, Kind, bound_element, chain_rebuild, new_algebra,
+                   require_kind)
 from .axioms import VerificationReport, check_bck, check_wajsberg, format_violation, is_commutative
 from .transforms import bck_to_mv, mv_to_bck, mv_to_wajsberg, wajsberg_to_bck, wajsberg_to_mv
 from .substructures import is_ideal, subalgebras
@@ -98,12 +98,11 @@ def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     """Locate suspected misprints in a stored wajsberg table.
 
     A clean table diagnoses to itself. Otherwise the table is rebuilt from
-    the chain coordinates of its derived order (``core.chain_rebuild``),
-    coordinate i of x.y being min(t, t - x_i + y_i) on a chain with top t,
-    and every cell where the two differ is flagged. With no coordinates, or
-    the stored zero or one off the bottom or top, it cannot be diagnosed.
-    The rebuilt table is unique: coordinates are unique up to swapping
-    chains of equal length, and that swap is an algebra automorphism.
+    its derived order by ``core.chain_rebuild``, coordinate i of x.y being
+    min(t, t - x_i + y_i) on a chain with top t, and every cell where the two
+    differ is flagged; with no rebuild it cannot be diagnosed. The rebuilt
+    table is unique: coordinates are unique up to swapping chains of equal
+    length, and that swap is an algebra automorphism.
 
     Only the stored table is checked, once, with ``check_wajsberg``: the
     rebuilt one is a chain product, so neither its axioms nor its cells are
@@ -113,10 +112,10 @@ def diagnose_wajsberg(alg: FiniteAlgebra) -> Diagnosis:
     report = check_wajsberg(alg)
     if report.passed:
         return Diagnosis(alg, (), report)
-    found = chain_coordinates(alg)
-    if found is None or any(found[1][alg.zero]) or found[1][alg.unit] != found[0]:
+    rows = chain_rebuild(alg)
+    if rows is None:
         return Diagnosis(None, (), report)
-    corrected = new_algebra(Kind.WAJSBERG, alg.names, CayleyTable.trusted(chain_rebuild(alg)), one=alg.unit)
+    corrected = new_algebra(Kind.WAJSBERG, alg.names, CayleyTable.trusted(rows), one=alg.unit)
     return Diagnosis(corrected, cell_mismatches(alg, corrected), report)
 
 

@@ -1,7 +1,10 @@
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bckalg import check_morphism, check_mv, check_wajsberg, fixture_dir, parse_algebra, save_algebra
 from bckalg import direct_product, lukasiewicz_chain, wajsberg_to_bck, wajsberg_to_mv
@@ -427,3 +430,73 @@ def test_check_paper_prints_failing_verdicts(tmp_path, capsys, fixture, old, new
     assert rc == 1
     assert lines[lines.index(fail_line) + 1].startswith(after)
     assert lines[-1] == "check-paper: FAIL (7 examples, 3 flagged cell(s))"
+
+
+FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(fixture_dir().glob("*.alg"))]
+
+
+@st.composite
+def mangled_fixtures(draw):
+    """A fixture's text with up to three lines or tokens dropped, duplicated or
+    swapped, replaced by an unknown name, or its order made out of range."""
+    lines = draw(st.sampled_from(FIXTURE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        tokens = lines[i].split()
+        k, m = (draw(st.integers(0, max(len(tokens) - 1, 0))) for _ in range(2))
+        edit = draw(st.sampled_from(["drop", "dup", "swap", "drop token", "dup token", "swap tokens", "unknown", "order"]))
+        if edit == "drop":
+            if len(lines) > 1:
+                del lines[i]
+        elif edit == "dup":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "order":
+            lines = [f"order: {draw(st.sampled_from([-1, 0, 1, 7, 9, 10**6]))}" if ln.startswith("order:") else ln
+                     for ln in lines]
+        elif tokens:
+            if edit == "drop token":
+                del tokens[k]
+            elif edit == "dup token":
+                tokens.insert(k, tokens[k])
+            elif edit == "swap tokens":
+                tokens[k], tokens[m] = tokens[m], tokens[k]
+            else:
+                tokens[k] = "Q"
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mangled")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=mangled_fixtures(),
+    b=mangled_fixtures(),
+    kind=st.sampled_from(["bck", "wajsberg", "mv"]),
+    extra=st.sampled_from([[], ["--commutative"], ["--implicative"], ["--positive-implicative"]]),
+)
+def test_mangled_input_keeps_the_exit_code_contract(fuzz_dir, a, b, kind, extra):
+    # 0 pass, 1 semantic failure, 2 input error on stderr alone; nothing escapes main
+    pa, pb = fuzz_dir / "a.alg", fuzz_dir / "b.alg"
+    pa.write_text(a, encoding="utf-8")
+    pb.write_text(b, encoding="utf-8")
+    pa, pb = str(pa), str(pb)
+    for argv in (
+        ["verify", "--kind", kind, *extra, pa],
+        ["convert", "--to", kind, pa],
+        ["iseki", pa],
+        ["sub", pa],
+        ["iso", pa, pb],
+        ["iso", "--poset", pa, pb],
+    ):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and out.getvalue() == "", argv

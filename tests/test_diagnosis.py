@@ -74,6 +74,9 @@ def reference_diagnosis(alg):
 @example(n=16, pick=4, seed=0, cell=1, shift=0)
 # ... and one that breaks it, so the table cannot be diagnosed.
 @example(n=16, pick=4, seed=0, cell=0, shift=0)
+# A corrupted 4-chain whose Birkhoff reading fills the product but whose
+# product order is not the derived order: only the order confirmation refuses it.
+@example(n=4, pick=0, seed=0, cell=11, shift=0)
 def test_diagnosis_matches_exhaustive_reference(n, pick, seed, cell, shift):
     alg = relabelled_chain_product(Kind.WAJSBERG, n, pick, seed, [(cell, shift)])
     cells, rows = reference_diagnosis(alg)
@@ -91,6 +94,9 @@ def test_pinned_examples_cover_both_outcomes():
     undiagnosable = relabelled_chain_product(Kind.WAJSBERG, 16, 4, 0, [(0, 0)])
     assert reference_diagnosis(diagnosable)[1] is not None
     assert reference_diagnosis(undiagnosable)[1] is None
+    misread = relabelled_chain_product(Kind.WAJSBERG, 4, 0, 0, [(11, 0)])
+    assert core._read_chains(misread) is not None and core.chain_coordinates(misread) is None
+    assert reference_diagnosis(misread) == ((), None)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +146,8 @@ def test_diagnosis_rejects_orders_no_constant_keeping_isomorphism_matches(alg):
     assert reference_diagnosis(alg) == ((), None)
     diag = diagnose_wajsberg(alg)
     assert diag.corrected is None and diag.cells == ()
+    # the first two are read and confirmed; their constants are what refuses them
+    assert core.chain_rebuild(alg) is None
 
 
 @pytest.mark.parametrize("kind", [Kind.MV, Kind.BCK])

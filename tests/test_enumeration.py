@@ -710,12 +710,18 @@ def test_chain_coordinates_reject_an_order_that_is_no_product_of_chains():
     assert chain_coordinates(alg) is None
 
 
-@pytest.mark.parametrize("kind", [Kind.WAJSBERG, Kind.BCK, Kind.MV], ids=lambda k: k.value)
-def test_a_certified_table_never_confirms_its_order(monkeypatch, kind):
+@pytest.mark.parametrize(
+    "kind, keep_one",
+    [(Kind.WAJSBERG, True), (Kind.BCK, True), (Kind.BCK, False), (Kind.MV, True)],
+    ids=["wajsberg", "bck", "bck-without-one", "mv"],
+)
+def test_a_certified_table_never_confirms_its_order(monkeypatch, kind, keep_one):
     calls = []
     confirm = core._confirms_order
     monkeypatch.setattr(core, "_confirms_order", lambda *args: calls.append(args) or confirm(*args))
     alg = relabelled_chain_product(kind, 24, 2, 7)
+    # a bck chain product with no declared one is certified and rebuilt all the same
+    alg = alg if keep_one else dataclasses.replace(alg, unit=None)
     assert is_chain_product(alg)
     assert chain_coordinates(alg) is not None and chain_rebuild(alg) == alg.table.entries
     assert calls == []

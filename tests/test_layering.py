@@ -132,6 +132,38 @@ def test_golden_imports_nothing_from_enumeration():
     assert not {"enumeration", "bckalg.enumeration"} & imported
 
 
+def coordinate_reads(source: str) -> list[str]:
+    """Each import of ``chain_coordinates`` and each read of it as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "chain_coordinates" for alias in node.names):
+            found.append(f"line {node.lineno}: imports chain_coordinates")
+        elif isinstance(node, ast.Attribute) and node.attr == "chain_coordinates":
+            found.append(f"line {node.lineno}: reads {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "core"], ids=lambda p: p.stem)
+def test_only_core_reads_the_chain_coordinates(path):
+    # the coordinate format and the constants rule on it live in core; the
+    # certificate and the misprint diagnosis take is_chain_product and chain_rebuild
+    assert coordinate_reads(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("from .core import Kind, chain_coordinates", True),
+        ("from bckalg.core import chain_coordinates as cc", True),
+        ("from . import core\ntops, coords = core.chain_coordinates(alg)", True),
+        ("from .core import chain_rebuild, is_chain_product", False),
+        ("def chain_coordinates(alg):\n    return alg._coordinates", False),
+    ],
+)
+def test_coordinate_read_checker(source, flagged):
+    assert bool(coordinate_reads(source)) is flagged
+
+
 def enumeration_imports(source: str) -> list[str]:
     """Each import that reaches bckalg.enumeration: the module itself, or a
     name it defines other than enumerate_wajsberg, which only builds inputs."""
