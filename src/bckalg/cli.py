@@ -24,7 +24,7 @@ from .axioms import (
 )
 from .transforms import TRANSLATIONS, iseki_extension, wajsberg_to_bck
 from .enumeration import enumerate_wajsberg, factorizations, find_isomorphism, order_isomorphism
-from .substructures import ideals, subalgebras
+from .substructures import ideals, is_ideal, subalgebras
 from .algfile import fixture_dir, load_algebra, render_algebra, save_algebra
 from .golden import run_check_paper
 
@@ -133,10 +133,13 @@ def _cmd_sub(args: argparse.Namespace) -> int:
     alg = _load_bck(args.file)
     proper = not args.all
     scope = "proper" if proper else "all"
-    both = not (args.subalgebras or args.ideals)
-    for label, wanted, family in (("subalgebras", args.subalgebras, subalgebras), ("ideals", args.ideals, ideals)):
-        if wanted or both:
-            sets = family(alg, proper_only=proper)
+    subs = subalgebras(alg, proper_only=proper) if args.subalgebras or not args.ideals else None
+    ids = None
+    if args.ideals or not args.subalgebras:
+        # every ideal is a subalgebra: filter the list held rather than generate the closed sets again
+        ids = ideals(alg, proper_only=proper) if subs is None else [s for s in subs if is_ideal(alg, s)]
+    for label, sets in (("subalgebras", subs), ("ideals", ids)):
+        if sets is not None:
             print(f"{label} ({scope}, {len(sets)}):")
             for s in sets:
                 print("  {" + ",".join(alg.names[i] for i in sorted(s)) + "}")

@@ -5,10 +5,11 @@ One algebra is produced per unordered factorization of n into factors >= 2
 ordered chains with those sizes, built by mixed-radix index arithmetic from
 one chain per distinct size, in range by construction, so with no cell
 check (``CayleyTable.trusted``). Algebra and order isomorphism share one
-backtracking search, ``_bijections``: it matches elements by an invariant
-key that ``core`` keeps per algebra object, places the scarcest first and
-prunes on the rows of the order view, ``order_relation``. Both searches
-reject on ``degree_multiset`` first. ``order_isomorphism`` keys x by
+backtracking search, ``_bijections``, one loop over levels: it matches
+elements by an invariant key that ``core`` keeps per algebra object, places
+the fixed pairs and then the scarcest first, and prunes on the rows of the
+order view, ``order_relation``. Both searches reject on
+``degree_multiset`` first. ``order_isomorphism`` keys x by
 ``order_degrees(a)[x]`` and compares where the mark is; ``find_isomorphism``
 keys x by ``(occurrence_counts(a)[x], order_degrees(a)[x])``, rejects on
 the sorted keys and compares cell values: the table for bck and wajsberg,
@@ -133,45 +134,43 @@ def enumerate_wajsberg(n: int) -> list[FiniteAlgebra]:
 def _bijections(pa: list, pb: list, fixed, fits):
     """Yield, as index tuples, every bijection f with pb[f[x]] == pa[x] for
     each x that extends the fixed (x, f(x)) pairs and passes
-    fits(f, x, placed) each time a free element x is placed (f holds -1
-    where nothing is placed yet; placed lists the placed elements, x last).
-    Free elements go fewest candidates first, ties and candidates by index.
-    The caller has checked that pa and pb are equal as multisets."""
+    fits(f, x, order[:level + 1]) as x is placed (f holds -1 where nothing is
+    placed). One loop, one element per level: first the fixed elements, each
+    with its target as its one candidate, or none if its pair conflicts, then
+    the free ones, fewest candidates first, ties and candidates by index. A
+    level keeps an iterator over its candidates; coming back undoes its
+    placement and tries the next. pa and pb must be equal as multisets."""
     n = len(pa)
-    f = [-1] * n
-    used = [False] * n
-    placed = []
+    candidates = {}
     for x, y in fixed:
-        if f[x] == -1 and pa[x] == pb[y] and not used[y]:
-            f[x] = y
-            used[y] = True
-            placed.append(x)
-        elif f[x] != y:
-            return
+        candidates[x] = [y] if candidates.get(x, [y]) == [y] and pa[x] == pb[y] else []
     where = {}
     for y, p in enumerate(pb):
         where.setdefault(p, []).append(y)
-    candidates = {x: where[pa[x]] for x in range(n) if f[x] == -1}
-    order = sorted(candidates, key=lambda x: (len(candidates[x]), x))
-
-    def place(pos: int):
-        if pos == len(order):
+    free = {x: where[pa[x]] for x in range(n) if x not in candidates}
+    order = [*candidates, *sorted(free, key=lambda x: (len(free[x]), x))]
+    candidates.update(free)
+    f, used, tries, level = [-1] * n, [False] * n, [], 0
+    while level >= 0:
+        if level == n:
             yield tuple(f)
-            return
-        x = order[pos]
-        placed.append(x)
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            f[x] = y
-            used[y] = True
-            if fits(f, x, placed):
-                yield from place(pos + 1)
-            f[x] = -1
-            used[y] = False
-        placed.pop()
-
-    yield from place(0)
+            level -= 1
+            continue
+        x = order[level]
+        if len(tries) == level:
+            tries.append(iter(candidates[x]))
+        else:
+            used[f[x]], f[x] = False, -1
+        for y in tries[level]:
+            if not used[y]:
+                f[x], used[y] = y, True
+                if fits(f, x, order[:level + 1]):
+                    level += 1
+                    break
+                f[x], used[y] = -1, False
+        else:
+            tries.pop()
+            level -= 1
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:

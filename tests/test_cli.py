@@ -4,11 +4,11 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from bckalg import check_morphism, check_mv, check_wajsberg, fixture_dir, parse_algebra, save_algebra
 from bckalg import direct_product, lukasiewicz_chain, wajsberg_to_bck, wajsberg_to_mv
-from bckalg import cli, golden
+from bckalg import cli, golden, substructures
 from bckalg.cli import main
 from references import reference_chain_product, reference_factorizations, relabelled
 
@@ -243,6 +243,22 @@ def test_sub_all_includes_trivial(capsys):
     assert "subalgebras (all, 6):" in out and "{O}" in out and "{O,A,B,E}" in out
 
 
+def test_sub_generates_the_closed_sets_once(monkeypatch, capsys):
+    # with both lists printed, the ideals are filtered from the subalgebra list
+    generated = []
+    real = substructures._closed_sets
+
+    def recording(alg):
+        generated.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(substructures, "_closed_sets", recording)
+    assert main(["sub", fx("ex3_4_bck.alg")]) == 0
+    out = capsys.readouterr().out
+    assert "subalgebras (proper, " in out and "ideals (proper, 2):" in out
+    assert len(generated) == 1
+
+
 def test_sub_needs_bck(capsys):
     assert main(["sub", fx("ex3_1_wajsberg.alg")]) == 2
     assert capsys.readouterr().err == f"error: {fx('ex3_1_wajsberg.alg')} declares kind wajsberg, not bck\n"
@@ -307,6 +323,18 @@ def test_iso_poset(capsys):
     assert main(["iso", "--poset", fx("ex3_4_bck.alg"), fx("ex3_5_bck.alg")]) == 0
     assert "poset-isomorphic" in capsys.readouterr().out
     assert main(["iso", "--poset", fx("ex3_1_bck.alg"), fx("ex3_2_bck.alg")]) == 1
+
+
+def test_iso_goes_as_deep_as_the_order(tmp_path, capsys):
+    # a valid file of order 1,010 places more elements than the default
+    # recursion limit allows frames; both searches must still answer
+    path = str(tmp_path / "chain1010.alg")
+    save_algebra(lukasiewicz_chain(1010), path)
+    capsys.readouterr()
+    assert main(["iso", path, path]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"e{i} -> e{i}" for i in range(1010)]
+    assert main(["iso", "--poset", path, path]) == 0
+    assert capsys.readouterr().out == "poset-isomorphic\n"
 
 
 def test_check_paper_flags_and_passes(capsys):
@@ -473,7 +501,9 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mangled")
 
 
-@settings(max_examples=200, deadline=None)
+# no shrinking: once main lets an error escape, nearly every mangled input fails
+# and shrinking takes minutes, while the first failing draw already names the command
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(
     a=mangled_fixtures(),
     b=mangled_fixtures(),

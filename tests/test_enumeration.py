@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from functools import reduce
 from itertools import permutations, product
 
@@ -388,7 +389,8 @@ def test_find_isomorphism_checks_the_table_of_each_complete_map():
 def test_find_isomorphism_refuses_fixed_pairs_that_conflict(monkeypatch):
     # one table, zero at index 0 on both sides, one declared at index 0 on
     # one side and index 1 on the other: every invariant agrees, so the
-    # search starts, and it stops at the fixed pairs (0, 0) and (0, 1)
+    # search starts; element 0 is pinned to 0 and to 1, so its fixed level
+    # has an empty candidate list and the search ends there
     rows = [[0, 0, 1, 1]] * 4
     a = new_algebra("bck", "0abc", rows, zero=0, one=0)
     b = new_algebra("bck", "0abc", rows, zero=0, one=1)
@@ -421,6 +423,20 @@ def test_mv_search_makes_the_wajsberg_search(monkeypatch):
             found.append((find_isomorphism(c, relabelled(c, seed=a.order)), len(checks)))
         assert found[0][0] is not None
         assert found[0] == found[1], a.names[-1]
+
+
+def test_searches_go_as_deep_as_the_order():
+    # one loop over levels, not one stack frame per element: a chain of order
+    # 1,100 places more elements than the default recursion limit allows frames
+    n = 1100
+    chain = lukasiewicz_chain(n)
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    moved = relabel(chain, perm)
+    for search in (find_isomorphism, order_isomorphism):
+        assert search(chain, chain) == tuple(range(n))
+        # a chain has no automorphism but the identity, so perm is the only map
+        assert search(chain, moved) == tuple(perm)
 
 
 def mv_family(complement, neutral_zero=True):
