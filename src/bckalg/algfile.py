@@ -9,17 +9,22 @@
     table:
     <n rows of n names>     (row i, column j holds element_i op element_j)
 
-Lines starting with '#' and blank lines are ignored. Rendering is canonical:
-keys in the order above, single spaces, no comments; parse(render(a)) == a.
+Lines starting with '#' and blank lines are ignored. An element name is
+non-empty, contains no whitespace character and does not start with '#': the
+parser refuses such a name in ``elements:``, and rendering refuses to write an
+algebra that has one. Rendering is canonical: keys in the order above, single
+spaces, no comments; parse(render(a)) == a.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 from .core import AlgebraError, FiniteAlgebra, Kind, new_algebra
 
 _HEADER_KEYS = ("kind", "order", "elements", "zero", "one", "complement")
+_NAME_RULE = "an element name is non-empty, contains no whitespace and does not start with '#'"
 
 
 class ParseError(AlgebraError):
@@ -29,6 +34,11 @@ class ParseError(AlgebraError):
 def fixture_dir() -> Path:
     """Directory of the bundled worked-example corpus."""
     return Path(__file__).resolve().parent / "fixtures"
+
+
+def _unwritable(names: Iterable[str]) -> str | None:
+    """The first name that breaks ``_NAME_RULE``, or None."""
+    return next((s for s in names if not s or s.startswith("#") or any(map(str.isspace, s))), None)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -57,6 +67,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             raise ParseError(f"line {lineno}: expected a header key or 'table:', got {line!r}")
         if key in header:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
+        if key == "elements" and (bad := _unwritable(value.split())) is not None:
+            raise ParseError(f"line {lineno}: element name {bad!r}: {_NAME_RULE}")
         header[key] = value.strip()
         pos += 1
     else:
@@ -120,7 +132,11 @@ def load_algebra(path: str | Path) -> FiniteAlgebra:
 
 
 def render_algebra(alg: FiniteAlgebra) -> str:
-    """Canonical document for an algebra; inverse of parse_algebra."""
+    """Canonical document for an algebra; inverse of parse_algebra. Raises
+    AlgebraError naming the first element name that the format cannot carry."""
+    bad = _unwritable(alg.names)
+    if bad is not None:
+        raise AlgebraError(f"element name {bad!r} cannot be written: {_NAME_RULE}")
     lines = [
         f"kind: {alg.kind.value}",
         f"order: {alg.order}",

@@ -11,12 +11,11 @@ from outside enters, by itself or through ``new_algebra`` given raw rows.
 tables whose cells are lookups into tables that were already checked.
 
 The derived order has one view, ``OrderRelation``: rows and a mark with x <= y
-iff ``rows[x][y] == mark``, read off the table; its bool matrix is built only
-when read. An algebra object is immutable, so what is read off its table is
-computed once per object, on first use, and kept on it: the view, the two O(n)
-isomorphism invariants the searches compare (``order_degrees`` and
-``occurrence_counts``) and the sorted ``degree_multiset``, and the structure
-theorem's reading of the table.
+iff ``rows[x][y] == mark``, read off the table. An algebra object is
+immutable, so what is read off its table is computed once per object, on first
+use, and kept on it: the view, the two O(n) isomorphism invariants the searches
+compare (``order_degrees`` and ``occurrence_counts``) and the sorted
+``degree_multiset``, and the structure theorem's reading of the table.
 
 That reading is here and nowhere else. Every finite MV (so Wajsberg) algebra is
 a product of finite Lukasiewicz chains, and bounded commutative BCK algebras
@@ -41,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from math import prod
 from operator import le, sub
 from typing import Iterable, Sequence
@@ -267,17 +266,12 @@ def new_algebra(
 
 @dataclass(frozen=True)
 class OrderRelation:
-    """A derived order, x <= y iff ``rows[x][y] == mark`` (see ``order_relation``);
-    ``leq``, the bool matrix with ``leq[x][y]`` being x <= y, is built on each read, so
-    the view that an algebra keeps does not keep it too.
-    ``==`` compares the views (rows and mark): for "same order" compare ``.leq`` or use ``poset_isomorphic``."""
+    """A derived order, x <= y iff ``rows[x][y] == mark`` (see ``order_relation``),
+    which ``holds(x, y)`` reads. ``==`` compares the views (rows and mark): for
+    "same order" use ``poset_isomorphic``."""
 
     rows: tuple[tuple[int, ...], ...]
     mark: int
-
-    @property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(tuple(map(self.mark.__eq__, row)) for row in self.rows)
 
     @property
     def order(self) -> int:
@@ -300,7 +294,7 @@ def order_relation(alg: FiniteAlgebra) -> OrderRelation:
 
 def order_degrees(alg: FiniteAlgebra) -> tuple[tuple[int, int], ...]:
     """(|down-set|, |up-set|) of each element in the order of ``order_relation``,
-    counted in the view's rows without its matrix, once per algebra object."""
+    counted in the view's rows, once per algebra object."""
     return alg._degrees
 
 
@@ -320,20 +314,23 @@ def occurrence_counts(alg: FiniteAlgebra) -> tuple[int, ...]:
 
 
 def _read_chains(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
-    leq = order_relation(alg).leq
-    n = alg.order
-    cols = list(zip(*leq))
+    rel = order_relation(alg)
+    rows, mark, n = rel.rows, rel.mark, alg.order
     h = [down for down, _ in order_degrees(alg)]
-    irreducible = [x for x in range(n) if h[x] - 1 in map(h.__getitem__, compress(range(n), cols[x]))]
-    chains = [[j for j in irreducible if leq[a][j]] for a in range(n) if h[a] == 2]
+    below = {}  # h[y] + 1 -> the rows of such y, so x's lower covers are among below[h[x]]
+    for row, down in zip(rows, h):
+        below.setdefault(down + 1, []).append(row)
+    irreducible = [x for x in range(n) if any(row[x] == mark for row in below.get(h[x], ()))]
+    chains = [[rows[j] for j in irreducible if rows[a][j] == mark] for a in range(n) if h[a] == 2]
     if prod(len(members) + 1 for members in chains) != n:
         return None
-    coords = tuple(tuple(sum(map(col.__getitem__, members)) for members in chains) for col in cols)
+    coords = tuple(tuple([row[x] for row in members].count(mark) for members in chains) for x in range(n))
     return (tuple(map(len, chains)), coords) if len(set(coords)) == n else None
 
 
 def _confirms_order(alg: FiniteAlgebra, coords: tuple[tuple[int, ...], ...]) -> bool:
-    return order_relation(alg).leq == tuple(tuple(all(map(le, x, y)) for y in coords) for x in coords)
+    rel = order_relation(alg)
+    return all([v == rel.mark for v in row] == [all(map(le, x, y)) for y in coords] for row, x in zip(rel.rows, coords))
 
 
 def _constants_placed(alg: FiniteAlgebra, found: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None) -> bool:

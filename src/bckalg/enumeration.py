@@ -29,6 +29,12 @@ from .core import (AlgebraError, CayleyTable, FiniteAlgebra, Kind, degree_multis
 from .axioms import check_morphism, check_wajsberg, require
 
 
+def _require_count(value: object, what: str) -> None:
+    """Refuse a count that is not an int, a bool included, as ``core`` refuses element indices."""
+    if type(value) is not int:
+        raise AlgebraError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Factorization:
     """A multiset of integer factors >= 2 with the given product, stored sorted."""
@@ -38,6 +44,8 @@ class Factorization:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
+        for count in (self.n, *self.factors):
+            _require_count(count, "a factorization's n or factor")
         if any(f < 2 for f in self.factors):
             raise AlgebraError("factors must be >= 2")
         if tuple(sorted(self.factors)) != self.factors:
@@ -53,6 +61,7 @@ class Factorization:
 def factorizations(n: int) -> list[Factorization]:
     """All unordered factorizations of n into factors >= 2, including (n,)
     itself; empty for n = 1. Sorted by factor count, then lexicographically."""
+    _require_count(n, "n")
     if n < 1:
         raise AlgebraError("factorizations need n >= 1")
 
@@ -75,6 +84,7 @@ def factorizations(n: int) -> list[Factorization]:
 def lukasiewicz_chain(n: int) -> FiniteAlgebra:
     """The totally ordered Wajsberg algebra on e0 < ... < e(n-1):
     ei . ej = e(min(n-1, n-1-i+j)), complement ei -> e(n-1-i)."""
+    _require_count(n, "n")
     if n < 2:
         raise AlgebraError("a chain needs at least 2 elements")
     top = n - 1
@@ -124,6 +134,7 @@ def enumerate_wajsberg(n: int) -> list[FiniteAlgebra]:
     Nothing is checked: Lukasiewicz chains are wajsberg algebras and so are
     their products, so every result is valid by construction (the tests
     confirm it with ``check_wajsberg``)."""
+    _require_count(n, "n")
     if n < 2:
         raise AlgebraError("enumeration needs n >= 2")
     found = factorizations(n)

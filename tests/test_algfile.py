@@ -1,3 +1,4 @@
+import re
 import traceback
 
 import pytest
@@ -11,6 +12,7 @@ from bckalg import (
     new_algebra,
     parse_algebra,
     render_algebra,
+    save_algebra,
 )
 from bckalg.golden import EXAMPLES
 
@@ -175,9 +177,9 @@ _NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_']{0,3}", fullmatch=True)
 
 
 @st.composite
-def random_bck_documents(draw):
+def random_bck_documents(draw, name=_NAME):
     n = draw(st.integers(min_value=1, max_value=6))
-    names = draw(st.lists(_NAME, min_size=n, max_size=n, unique=True))
+    names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
     rows = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
     return new_algebra("bck", names, rows, zero=draw(st.integers(0, n - 1)))
 
@@ -185,3 +187,31 @@ def random_bck_documents(draw):
 @given(random_bck_documents())
 def test_roundtrip_on_arbitrary_tables(alg):
     assert parse_algebra(render_algebra(alg)) == alg
+
+
+@given(random_bck_documents(name=st.text()))
+def test_render_refuses_a_name_or_round_trips(alg):
+    # an empty name, one with whitespace or one starting with '#' would be
+    # written into a document that parses to something else, or not at all
+    try:
+        text = render_algebra(alg)
+    except AlgebraError as err:
+        assert "cannot be written" in str(err)
+    else:
+        assert parse_algebra(text) == alg
+
+
+@pytest.mark.parametrize("name", ["", "a b", "\u2028", "#a", "a\t"])
+def test_render_and_save_name_the_first_unwritable_name(tmp_path, name):
+    alg = new_algebra("bck", ["ok", name, "#z"], [[0, 0, 0], [1, 0, 1], [2, 2, 0]], zero=0)
+    with pytest.raises(AlgebraError, match=re.escape(repr(name))):
+        render_algebra(alg)
+    with pytest.raises(AlgebraError, match=re.escape(repr(name))):
+        save_algebra(alg, tmp_path / "x.alg")
+    assert not (tmp_path / "x.alg").exists()
+
+
+def test_parser_refuses_an_element_name_starting_with_hash():
+    text = "kind: bck\norder: 2\nelements: #a b\nzero: b\ntable:\nb b\n#a b\n"
+    with pytest.raises(ParseError, match="line 3: element name '#a'"):
+        parse_algebra(text)

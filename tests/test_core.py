@@ -78,7 +78,7 @@ def test_bck_requires_zero():
 
 def test_derived_order_chain(corpus):
     leq = derived_order(corpus["ex3_1_bck"])
-    assert leq.leq == tuple(tuple(i <= j for j in range(4)) for i in range(4))
+    assert all(leq.holds(x, y) == (x <= y) for x in range(4) for y in range(4))
 
 
 def test_derived_order_diamond(corpus):
@@ -98,7 +98,7 @@ def test_order_view_is_built_once_per_algebra(corpus):
 
 
 def test_derived_order_trivial():
-    assert derived_order(trivial()).leq == ((True,),)
+    assert derived_order(trivial()).holds(0, 0)
 
 
 def test_derived_order_needs_bck(corpus):
