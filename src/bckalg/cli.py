@@ -2,12 +2,14 @@
 
 Subcommands: verify, convert, iseki, enumerate, sub, iso, check-paper.
 Exit codes: 0 pass, 1 semantic failure (axiom violation, non-isomorphic,
-failed golden check), 2 usage or input error.
+failed golden check), 2 usage or input error, 141 (128 + SIGPIPE) when the
+reader of stdout has gone, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -113,19 +115,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise AlgebraError("--order must be >= 2")
     if args.order > MAX_ENUMERATE_ORDER:
         raise AlgebraError(f"--order must be <= {MAX_ENUMERATE_ORDER}")
-    out = None if args.out is None else Path(args.out)
-    if out is not None:
+    paths = []
+    if args.out is not None:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        prefix = "w" if args.kind == "wajsberg" else "bck"
+        paths = [out / f"{prefix}{args.order}_{fact.label}.alg" for fact in factorizations(args.order)]
     algebras = enumerate_wajsberg(args.order)
     if args.kind == "bck":
         algebras = [wajsberg_to_bck(a) for a in algebras]
+    # every file is written before anything is printed, so a reader that stops early loses none
+    for alg, path in zip(algebras, paths):
+        save_algebra(alg, path)
     print(f"pi_{args.order} = {len(algebras)}")
-    if out is not None:
-        prefix = "w" if args.kind == "wajsberg" else "bck"
-        for fact, alg in zip(factorizations(args.order), algebras):
-            path = out / f"{prefix}{args.order}_{fact.label}.alg"
-            save_algebra(alg, path)
-            print(f"wrote {path}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
@@ -226,7 +230,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to os.devnull, so that shutdown's flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,9 @@ as one value. ``is_chain_product`` is the certificate that the table equals
 that product, with its constants in place, in O(n^2 k) for k chains. It does
 not confirm the reading's order: a table isomorphic to a chain product has
 that product's order. ``chain_coordinates`` returns the reading when the
-table is certified or, failing that, when the plain product order on it is
-the derived order, and ``chain_rebuild`` is that product when the reading also
-puts zero at 0...0 and a declared one at the tops, as the certificate requires.
+plain product order on it is the derived order, and ``chain_rebuild`` is that
+product when the reading also puts zero at 0...0 and a declared one at the
+tops, as the certificate requires.
 The axiom checkers pass a certified table of their kind without scanning n^3
 triples, and the misprint diagnosis compares a table that fails with its rebuild.
 """
@@ -40,9 +40,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import prod
-from operator import le, sub
+from operator import sub
 from typing import Iterable, Sequence
 
 
@@ -56,6 +56,10 @@ class Kind(str, Enum):
     BCK = "bck"
     WAJSBERG = "wajsberg"
     MV = "mv"
+
+    @classmethod
+    def _missing_(cls, value: object) -> Kind:
+        raise AlgebraError(f"unknown kind {value!r}: expected bck, wajsberg or mv")
 
 
 @dataclass(frozen=True)
@@ -191,11 +195,6 @@ class FiniteAlgebra:
             and self.table.entries == rows
         )
 
-    @cached_property
-    def _coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
-        found = self._reading
-        return found[:2] if found is not None and (self._certified or _confirms_order(self, found[1])) else None
-
     def op(self, x: int, y: int) -> int:
         return self.table.entries[x][y]
 
@@ -329,8 +328,9 @@ def _read_chains(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, 
 
 
 def _confirms_order(alg: FiniteAlgebra, coords: tuple[tuple[int, ...], ...]) -> bool:
-    rel = order_relation(alg)
-    return all([v == rel.mark for v in row] == [all(map(le, x, y)) for y in coords] for row, x in zip(rel.rows, coords))
+    rel, at, ends = order_relation(alg), dict(zip(coords, range(alg.order))), [max(c) + 1 for c in zip(*coords)]
+    return all(len(box := [row[at[y]] for y in product(*map(range, x, ends))]) == up == box.count(rel.mark)
+               for row, x, (_, up) in zip(rel.rows, coords, order_degrees(alg)))
 
 
 def _constants_placed(alg: FiniteAlgebra, found: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None) -> bool:
@@ -339,17 +339,16 @@ def _constants_placed(alg: FiniteAlgebra, found: tuple[tuple[int, ...], tuple[tu
 
 def chain_coordinates(alg: FiniteAlgebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
     """(tops, coords) with x -> coords[x] an isomorphism from the derived
-    order of ``alg`` onto the product of the chains 0 < ... < tops[i], or None;
-    read once per algebra object.
+    order of ``alg`` onto the product of the chains 0 < ... < tops[i], or None.
     Birkhoff: with h[x] = |down-set of x|, x is join-irreducible iff some
     y <= x has h[y] = h[x] - 1; those above atom i form chain i less its
-    bottom, and coordinate i of x counts those below x. The reading must give
-    distinct coordinates filling the product. Unless ``is_chain_product``
-    holds (a table equal to the product on the reading already has the
-    product order), the product order, x <= y iff every coordinate of x is at
-    most y's, is then compared with the derived order cell by cell, in
-    O(n^2 k). Unique up to swapping chains of equal length."""
-    return alg._coordinates
+    bottom, and coordinate i of x counts those below x. The reading, kept once
+    per algebra object, must give distinct coordinates filling the product,
+    and on every call its order (x <= y iff each coordinate of x is at most
+    y's) must be the derived order: each such pair is read, and x's up-degree
+    is its count. Unique up to swapping chains of equal length."""
+    found = alg._reading
+    return found[:2] if found is not None and _confirms_order(alg, found[1]) else None
 
 
 # The Lukasiewicz chain 0 < 1 < ... < t as a cell formula per kind. The
@@ -389,7 +388,7 @@ def chain_rebuild(alg: FiniteAlgebra) -> tuple[tuple[int, ...], ...] | None:
     when they put zero at 0...0 and a declared one, if any, at the tops, or None:
     the product kept with the reading, built once per algebra object, which the
     certificate compared with the table."""
-    return alg._reading[2] if _constants_placed(alg, alg._coordinates) else None
+    return alg._reading[2] if _constants_placed(alg, chain_coordinates(alg)) else None
 
 
 def is_chain_product(alg: FiniteAlgebra) -> bool:

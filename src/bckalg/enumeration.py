@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import isqrt, prod
 
 from .core import (AlgebraError, CayleyTable, FiniteAlgebra, Kind, degree_multiset, new_algebra, occurrence_counts,
                    order_degrees, order_relation, require_kind)
@@ -66,13 +66,10 @@ def factorizations(n: int) -> list[Factorization]:
         raise AlgebraError("factorizations need n >= 1")
 
     def rec(m: int, least: int) -> list[tuple[int, ...]]:
-        out = []
-        for f in range(least, m + 1):
-            if m % f:
-                continue
-            if f == m:
-                out.append((f,))
-            else:
+        # a first factor above sqrt(m) would leave a smaller one after it
+        out = [(m,)]
+        for f in range(least, isqrt(m) + 1):
+            if m % f == 0:
                 out.extend((f, *rest) for rest in rec(m // f, f))
         return out
 

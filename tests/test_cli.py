@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -11,6 +14,9 @@ from bckalg import direct_product, lukasiewicz_chain, wajsberg_to_bck, wajsberg_
 from bckalg import cli, golden, substructures
 from bckalg.cli import main
 from references import reference_chain_product, reference_factorizations, relabelled
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fx(name):
@@ -187,6 +193,36 @@ def test_enumerate_output_is_pinned(tmp_path, capsys, n, kind):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes() == text.encode()
+
+
+def run_with_stdout_closed(argv, unbuffered):
+    """``python -m bckalg.cli argv`` writing to a pipe whose read end is closed
+    before the child starts: (exit status, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bckalg.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_141_quietly(tmp_path, unbuffered):
+    # 128 + SIGPIPE, as a shell reports `yes | head -1`, and no error text: the reader
+    # that stopped is no input error; enumerate has written every file before it prints
+    bck = tmp_path / "bck"
+    assert main(["enumerate", "--order", "32", "--kind", "bck", "--out", str(bck)]) == 0
+    assert run_with_stdout_closed(["sub", "--all", str(bck / "bck32_2x2x2x2x2.alg")], unbuffered) == (141, "")
+    assert run_with_stdout_closed(["check-paper"], unbuffered) == (141, "")
+    out = tmp_path / "w"
+    assert run_with_stdout_closed(["enumerate", "--order", "32", "--out", str(out)], unbuffered) == (141, "")
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected_enumerate_files(32, "wajsberg"))
 
 
 def test_enumerate_out_existing_file_is_input_error(tmp_path, capsys):

@@ -22,7 +22,7 @@ from bckalg import (
     render_algebra,
     wajsberg_to_mv,
 )
-from bckalg.core import order_relation
+from bckalg.core import chain_product_rows, order_relation
 from references import TWO_CHAIN, trivial, two_chain
 
 # two incomparable atoms over zero; passes every bck axiom but has no top
@@ -232,6 +232,21 @@ def test_designated_one_must_be_a_bound(corpus):
     ref = corpus["ex3_1_bck"]
     with pytest.raises(AlgebraError):
         new_algebra("bck", ref.names, ref.table, zero=0, one=1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: new_algebra("BCK", "ab", TWO_CHAIN, zero=0),
+        lambda: FiniteAlgebra("x", ("a", "b"), CayleyTable(TWO_CHAIN), 0),
+        lambda: chain_product_rows((1,), ((0,), (1,)), "x"),
+        lambda: Kind(None),
+    ],
+    ids=["new_algebra", "FiniteAlgebra", "chain_product_rows", "Kind"],
+)
+def test_an_unknown_kind_is_an_algebra_error(build):
+    with pytest.raises(AlgebraError, match="unknown kind .*: expected bck, wajsberg or mv"):
+        build()
 
 
 def test_finite_algebra_requires_a_zero():

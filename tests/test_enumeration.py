@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from functools import reduce
 from itertools import permutations, product
 
@@ -60,6 +61,20 @@ def test_factorizations_of_prime():
 
 def test_factorizations_of_12():
     assert [f.factors for f in factorizations(12)] == [(12,), (2, 6), (3, 4), (2, 2, 3)]
+
+
+def test_factorizations_match_the_reference_up_to_1000():
+    assert [n for n in range(2, 1001) if [f.factors for f in factorizations(n)] != reference_factorizations(n)] == []
+
+
+def test_factorizations_of_a_large_prime_are_quick():
+    # only divisors up to sqrt(m) can start a factorization, so a prime near 10^7
+    # costs about 3,000 trial divisions, not 10^7
+    start = time.perf_counter()
+    found = factorizations(10_000_019)
+    elapsed = time.perf_counter() - start
+    assert [f.factors for f in found] == [(10_000_019,)]
+    assert elapsed < 0.05
 
 
 def test_factorizations_edge_cases():
@@ -738,26 +753,42 @@ def test_chain_coordinates_reject_an_order_that_is_no_product_of_chains():
     [(Kind.WAJSBERG, True), (Kind.BCK, True), (Kind.BCK, False), (Kind.MV, True)],
     ids=["wajsberg", "bck", "bck-without-one", "mv"],
 )
-def test_a_certified_table_never_confirms_its_order(monkeypatch, kind, keep_one):
-    calls = []
-    confirm = core._confirms_order
-    monkeypatch.setattr(core, "_confirms_order", lambda *args: calls.append(args) or confirm(*args))
+def test_a_certified_table_reads_and_rebuilds_as_its_order_confirms(kind, keep_one):
     alg = relabelled_chain_product(kind, 24, 2, 7)
     # a bck chain product with no declared one is certified and rebuilt all the same
     alg = alg if keep_one else dataclasses.replace(alg, unit=None)
     assert is_chain_product(alg)
     assert chain_coordinates(alg) is not None and chain_rebuild(alg) == alg.table.entries
-    assert calls == []
-    # non-vacuity: one cell changed, the derived order kept; the order is confirmed once
+    # one cell changed, the derived order kept: the same reading, the clean table rebuilt
     mark = order_relation(alg).mark
     rows = [list(row) for row in alg.table.entries]
     x, y = next((x, y) for x, row in enumerate(rows) for y, v in enumerate(row) if v != mark)
     rows[x][y] = next(v for v in range(alg.order) if v not in (mark, rows[x][y]))
     bad = dataclasses.replace(alg, table=CayleyTable(rows))
     assert not is_chain_product(bad)
-    assert chain_coordinates(bad) == chain_coordinates(bad) == chain_coordinates(alg)
+    assert chain_coordinates(bad) == chain_coordinates(alg)
     assert chain_rebuild(bad) == alg.table.entries
-    assert len(calls) == 1
+
+
+def test_chain_coordinates_confirm_the_reading_when_the_cube_gains_a_pair_or_trades_two():
+    # the subset order on 3 bits, as the bck table x*y = 0 if x R y else 1, with one
+    # pair added or two traded (x <= y and u <= v for x <= v and u <= y, which keeps
+    # every up- and down-degree); the coordinates are kept iff the product order
+    # on the reading is R, and 12 of the 15 readings refused are trades
+    n, cells = 8, list(product(range(8), repeat=2))
+    cube = {(x, y) for x, y in cells if x & y == x}
+    relations = [cube | {c} for c in cells if c not in cube]
+    relations += [cube - {(x, y), (u, v)} | {(x, v), (u, y)}
+                  for (x, y), (u, v) in product(sorted(cube), repeat=2) if (x, v) not in cube and (u, y) not in cube]
+    kept = refused = 0
+    for r in relations:
+        alg = new_algebra("bck", "abcdefgh", [[0 if (x, y) in r else 1 for y in range(n)] for x in range(n)], zero=0)
+        reading = core._read_chains(alg)
+        product_order = reading and {(x, y) for x, y in cells if all(map(int.__le__, reading[1][x], reading[1][y]))}
+        assert chain_coordinates(alg) == (reading if product_order == r else None)
+        kept += product_order == r
+        refused += reading is not None and product_order != r
+    assert (len(relations), kept, refused) == (85, 6, 15)
 
 
 def test_chain_coordinates_confirm_the_reading_on_every_reflexive_relation_of_four_elements():
