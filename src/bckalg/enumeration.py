@@ -4,23 +4,29 @@ One algebra is produced per unordered factorization of n into factors >= 2
 (the single-factor decomposition included): the direct product of totally
 ordered chains with those sizes, built by mixed-radix index arithmetic from
 one chain per distinct size, in range by construction, so with no cell
-check (``CayleyTable.trusted``). Algebra and order isomorphism share one
-backtracking search, ``_bijections``, one loop over levels: it matches
-elements by an invariant key that ``core`` keeps per algebra object, places
-the fixed pairs and then the scarcest first, and prunes on the rows of the
-order view, ``order_relation``. Both searches reject on
-``degree_multiset`` first. ``order_isomorphism`` keys x by
-``order_degrees(a)[x]`` and compares where the mark is; ``find_isomorphism``
-keys x by ``(occurrence_counts(a)[x], order_degrees(a)[x])``, rejects on
-the sorted keys and compares cell values: the table for bck and wajsberg,
-x' + y (the Wajsberg implication) for mv, and checks f(x') = f(x)' as it
-places x: the view's zero column, x', already does on valid tables, not on
-unvalidated mv tables with x + 0 != x. A complete map is checked in full.
+check (``CayleyTable.trusted``). Each order is built once while it is among
+the last 8 asked for, and every call returns a new list of those shared,
+immutable objects, so the invariants ``core`` keeps on them are counted once
+per order.
+
+Algebra and order isomorphism share one backtracking search,
+``_bijections``, one loop over levels: it matches elements by an invariant
+key that ``core`` keeps per algebra object, places the fixed pairs and then
+the scarcest first, and prunes on the rows of the order view,
+``order_relation``. Both searches reject on ``degree_multiset`` first.
+``order_isomorphism`` keys x by ``order_degrees(a)[x]`` and compares where
+the mark is; ``find_isomorphism`` keys x by ``(occurrence_counts(a)[x],
+order_degrees(a)[x])``, rejects on the sorted keys and compares cell
+values: the table for bck and wajsberg, x' + y (the Wajsberg implication)
+for mv, and checks f(x') = f(x)' as it places x: the view's zero column,
+x', already does on valid tables, not on unvalidated mv tables with
+x + 0 != x. A complete map is checked in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import isqrt, prod
 
@@ -130,13 +136,39 @@ def enumerate_wajsberg(n: int) -> list[FiniteAlgebra]:
 
     Nothing is checked: Lukasiewicz chains are wajsberg algebras and so are
     their products, so every result is valid by construction (the tests
-    confirm it with ``check_wajsberg``)."""
+    confirm it with ``check_wajsberg``).
+
+    Each order is built once while it is among the last 8 asked for
+    (``_catalogue``). Every call returns a new list of the same immutable
+    objects, so what ``core`` keeps on them (order view, degrees, occurrence
+    counts) is counted once per order, and a caller that changes its list
+    cannot change the next call's. The count is checked before the cache is
+    read, which would take 4.0 or True as the key 4 or 1."""
     _require_count(n, "n")
     if n < 2:
         raise AlgebraError("enumeration needs n >= 2")
+    return list(_catalogue(n))
+
+
+@lru_cache(maxsize=8)
+def _catalogue(n: int) -> tuple[FiniteAlgebra, ...]:
+    """The chain products of ``enumerate_wajsberg(n)``, one chain per distinct size.
+
+    The bound of 8 orders is a memory bound. One catalogue, with the degree
+    multisets and occurrence counts of its products, holds (``tracemalloc``):
+
+    ======  ====  ====  ====  ====  ====  ====  ====
+    n        24    32    36    40    64   128   256
+    MiB     0.08  0.11  0.17  0.16  0.50  2.3   12.2
+    ======  ====  ====  ====  ====  ====  ====  ====
+
+    So 8 orders up to 64 hold about 4 MiB at most, and 8 orders near the
+    CLI's cap of 256 up to about 100 MiB. A process that asks for one order,
+    as ``bckalg enumerate`` does, holds nothing beyond what that call
+    returns."""
     found = factorizations(n)
     chains = {r: lukasiewicz_chain(r) for r in {r for f in found for r in f.factors}}
-    return [_product([chains[r] for r in f.factors]) for f in found]
+    return tuple(_product([chains[r] for r in f.factors]) for f in found)
 
 
 def _bijections(pa: list, pb: list, fixed, fits):

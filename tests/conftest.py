@@ -1,7 +1,14 @@
 import pytest
 
-from bckalg import fixture_dir, load_algebra
+from bckalg import enumeration, fixture_dir, load_algebra
 from bckalg.golden import EXAMPLES
+
+
+@pytest.fixture(autouse=True)
+def fresh_catalogue():
+    """Each test starts with no chain products kept by ``enumerate_wajsberg``,
+    so no test sees invariants that an earlier test left counted or uncounted."""
+    enumeration._catalogue.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import random
 import time
+import weakref
 from functools import reduce
 from itertools import permutations, product
 
@@ -273,6 +275,45 @@ def test_enumerate_runs_no_checker(monkeypatch):
         monkeypatch.setattr(enumeration, name, refuse)
     for n in range(2, 33):
         assert [a.order for a in enumeration.enumerate_wajsberg(n)] == [n] * len(factorizations(n))
+
+
+@pytest.mark.parametrize("n", [12, 24, 64])
+def test_a_repeated_order_shares_its_products_and_builds_nothing(monkeypatch, n):
+    # the second call builds no chain and no product, and the objects it
+    # returns already hold their invariants, so no occurrence is counted again
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order among the last 8 asked for was built again")
+
+    first = enumerate_wajsberg(n)
+    copies = [relabelled(a, seed=n) for a in first]
+    assert all(find_isomorphism(a, b) is not None for a, b in zip(first, copies))
+    monkeypatch.setattr(enumeration, "_product", refuse)
+    monkeypatch.setattr(enumeration, "lukasiewicz_chain", refuse)
+    second = enumerate_wajsberg(n)
+    assert second is not first and second == first
+    assert len(second) == len(first) and all(a is b for a, b in zip(first, second))
+    assert second == [reference_chain_product(fs) for fs in reference_factorizations(n)]
+    # each call returns a list of its own: changing one leaves the next whole
+    second.clear()
+    first.append(first[0])
+    assert enumerate_wajsberg(n) == [reference_chain_product(fs) for fs in reference_factorizations(n)]
+    counted = counting(monkeypatch, core, "_count_occurrences")
+    assert all(find_isomorphism(a, b) is not None for a, b in zip(enumerate_wajsberg(n), copies))
+    assert counted == []
+
+
+def test_the_catalogue_keeps_the_last_8_orders_only():
+    # a bound on memory: an order's products are dropped once 8 other orders
+    # have been asked for since, and are then built again, equal to the reference
+    held = weakref.ref(enumerate_wajsberg(12)[0])
+    for n in range(13, 20):
+        enumerate_wajsberg(n)
+    gc.collect()
+    assert held() is not None
+    enumerate_wajsberg(20)
+    gc.collect()
+    assert held() is None
+    assert enumerate_wajsberg(12) == [reference_chain_product(fs) for fs in reference_factorizations(12)]
 
 
 @pytest.mark.parametrize("n", range(2, 25))
